@@ -178,7 +178,7 @@ def cmd_analyze(args) -> int:
         }
     atomic_write(args.out, json.dumps(report, indent=1) + "\n")
     write_manifest("analyze", vars(args), args.seed, [args.out])
-    print(json.dumps(report)[:200])
+    print(json.dumps(report))
     return 0
 
 

@@ -262,6 +262,12 @@ def deserialize(text: str) -> FeedForwardNet:
         raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object", "root")
+    tag = _require(doc, "format", "root")
+    if tag != FORMAT_TAG:
+        raise ParseError(f"unknown format {tag!r}, expected {FORMAT_TAG!r}", "format")
+    input_dim = _require(doc, "input_dim", "root")
+    if not isinstance(input_dim, int) or isinstance(input_dim, bool):
+        raise ParseError(f"'input_dim' must be an integer, got {input_dim!r}", "input_dim")
     layers_doc = _require(doc, "layers", "root")
     if not isinstance(layers_doc, list) or not layers_doc:
         raise ParseError("'layers' must be a non-empty list", "layers")
@@ -270,17 +276,25 @@ def deserialize(text: str) -> FeedForwardNet:
         where = f"layers[{idx}]"
         if not isinstance(entry, dict):
             raise ParseError("layer entry must be an object", where)
+        weights = _require(entry, "weights", where)
+        biases = _require(entry, "biases", where)
+        apply_activation = _require(entry, "apply_activation", where)
+        if not isinstance(apply_activation, bool):
+            raise ParseError(
+                f"'apply_activation' must be true or false, got {apply_activation!r}",
+                f"{where}.apply_activation",
+            )
         try:
             layer = AffineLayer(
-                weights=np.asarray(_require(entry, "weights", where), dtype=np.float64),
-                biases=np.asarray(_require(entry, "biases", where), dtype=np.float64),
-                apply_activation=bool(_require(entry, "apply_activation", where)),
+                weights=np.asarray(weights, dtype=np.float64),
+                biases=np.asarray(biases, dtype=np.float64),
+                apply_activation=apply_activation,
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid layer at {where}: {exc}") from exc
         layers.append(layer)
     return FeedForwardNet(
-        input_dim=int(_require(doc, "input_dim", "root")),
+        input_dim=input_dim,
         layers=tuple(layers),
         activation=str(_require(doc, "activation", "root")),
         metadata=str(doc.get("metadata", "")),

@@ -23,12 +23,18 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 def max_threads() -> int:
     """Worker-thread cap, from MAXNET_THREADS (default 1).
 
-    Only affects wall-clock time; results are identical for any value.
+    Values above ``os.cpu_count()`` are clamped to it; a value that is not
+    a positive integer raises ValueError. Only affects wall-clock time;
+    results are identical for any value.
     """
+    raw = os.environ.get("MAXNET_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MAXNET_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"MAXNET_THREADS must be a positive integer, got {raw!r}")
+    return min(threads, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -147,15 +153,34 @@ def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
 
     x_i / x_j lies in [1-delta, 1+delta] iff |x_i - x_j| <= delta |x_j|;
     pairs with x_j == 0 impose no constraint (literal reading of the
-    quantifier "for all i != j, and x_j != 0").
+    quantifier "for all i != j, and x_j != 0"). Taking both orders of a
+    pair {a, b} at once, it violates iff |b - a| <= delta * m and m > 0,
+    where m = max(|a|, |b|); the m > 0 guard keeps two zeros apart.
+
+    Only adjacent values of each sorted row need testing, which is exact
+    for every delta > 0, in floating point too:
+
+      * Same-sign pairs nest. For a <= c <= b on one side of zero (zero
+        included), fl(b - c) <= fl(b - a) and fl(c - a) <= fl(b - a)
+        because rounding is monotone, while the inner pair next to the
+        larger magnitude keeps the same m. So if an outer pair violates,
+        an adjacent pair between them does too.
+      * Mixed-sign pairs a < 0 < b never violate when delta < 1:
+        fl(b - a) >= m, while fl(delta * m) < m for normal m, and b - a is
+        exact when m is subnormal.
+      * When delta >= 1, any two same-sign nonzeros violate, and so does a
+        zero next to a nonzero. A row with neither holds at most one
+        negative and one positive value, and those two are adjacent.
+
+    Cost is a sort and a few (n, d) temporaries: O(n d log d) time and
+    O(n d) memory.
     """
-    diff = np.abs(X[:, :, None] - X[:, None, :])  # |x_i - x_j| at [n, i, j]
-    tol = delta * np.abs(X)[:, None, :]
-    close = (diff <= tol) & (np.abs(X) > 0)[:, None, :]
-    d = X.shape[1]
-    idx = np.arange(d)
-    close[:, idx, idx] = False
-    return close.any(axis=(1, 2))
+    S = np.sort(X, axis=1)
+    lo, hi = S[:, :-1], S[:, 1:]
+    m = np.maximum(np.abs(lo), np.abs(hi))
+    close = (hi - lo) <= delta * m
+    close &= m > 0
+    return close.any(axis=1)
 
 
 def is_delta_separated(x, delta: float) -> bool:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -99,6 +98,8 @@ def dawson_quadrature_oracle(x: float, tol: float = 1e-14) -> float:
     ax = abs(x)
     if ax == 0.0:
         return 0.0
+    from scipy import integrate  # deferred: importing it would dominate `import maxnet`
+
     val, err = integrate.quad(
         lambda u: math.exp(u * u - 2.0 * ax * u), 0.0, ax,
         epsabs=tol, epsrel=tol, limit=400,
@@ -197,6 +198,8 @@ class QuadratureTransform:
 
 def _quad_osc(f, xi: float, T: float, tol: float) -> complex:
     """int_0^T f(t) exp(-i xi t) dt via weighted adaptive quadrature."""
+    from scipy import integrate  # deferred: importing it would dominate `import maxnet`
+
     parts = []
     for weight in ("cos", "sin"):
         val, err, info = integrate.quad(

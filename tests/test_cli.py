@@ -109,6 +109,19 @@ class TestError:
         )
         assert code == 2 and "d=" in err
 
+    def test_unknown_format_tag_exits_2(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
+        doc = json.loads(net_file.read_text())
+        doc["format"] = "maxnet-ffn/0"
+        net_file.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["error", "--net", str(net_file), "--d", "2", "--n", "100",
+             "--seed", "1", "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 2 and "format" in err
+
     def test_missing_net_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(
             ["error", "--net", str(tmp_path / "nope.json"), "--d", "2",
@@ -144,6 +157,19 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert set(report["removed_edges"]) == {"2,3", "1,3"}
         assert report["n_edges"] == 4
+
+    def test_stdout_is_the_whole_report(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "depth3", "--d", "5", "--alpha", "10", "--out", str(net_file)], capsys)
+        out = tmp_path / "report.json"
+        code, stdout, _ = run(
+            ["analyze", "--net", str(net_file), "--analysis", "weight-graph",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert len(stdout.splitlines()) == 1 and len(stdout) > 200
+        assert json.loads(stdout) == json.loads(out.read_text())
 
     def test_kernel_floor_single_neuron(self, tmp_path, capsys):
         net_file = tmp_path / "one.json"
@@ -223,6 +249,17 @@ class TestSeparation:
         assert (tmp_path / "sep.csv").read_bytes() == first
         prob = float(first.decode().strip().splitlines()[1].split(",")[4])
         assert prob <= 2 * 4 * 0.01 + 0.01
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+    def test_invalid_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("MAXNET_THREADS", value)
+        code, _, err = run(
+            ["separation", "--d", "2", "--delta", "0.01", "--n", "1000",
+             "--seed", "3", "--out", str(tmp_path / "sep.csv")],
+            capsys,
+        )
+        assert code == 2 and "MAXNET_THREADS" in err
+        assert not (tmp_path / "sep.csv").exists()
 
 
 class TestManifestStability:

@@ -1,5 +1,7 @@
 """Network evaluation, stats, and serialization round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -184,6 +186,41 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             deserialize('{"input_dim": 1,')
         assert exc.value.location
+
+    @pytest.mark.parametrize("tag", [None, "maxnet-ffn/2", "", 1])
+    def test_missing_or_unknown_format_rejected(self, tag):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        if tag is None:
+            del doc["format"]
+        else:
+            doc["format"] = tag
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location in ("root", "format")
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    def test_non_integer_input_dim_rejected(self, value):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        doc["input_dim"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "input_dim"
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_bool_apply_activation_rejected(self, value):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        doc["layers"][0]["apply_activation"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "layers[0].apply_activation"
+
+    @pytest.mark.parametrize("field", ["weights", "biases", "apply_activation"])
+    def test_missing_layer_field_is_parse_error(self, field):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        del doc["layers"][1][field]
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "layers[1]"
 
     def test_mismatched_widths_is_validation_error(self):
         net = depth3_max(2, 10.0)

@@ -1,8 +1,11 @@
 """Distributions, separation machinery, and Monte Carlo estimator tests."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maxnet import (
     AffineLayer,
@@ -20,6 +23,60 @@ from maxnet import (
     separation_from_gap,
     wilson_interval,
 )
+from maxnet.sampling import _violation_mask, max_threads
+
+MiB = 2**20
+
+
+def pairwise_violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
+    """Reference: every ordered pair (i, j), i != j, as (n, d, d) arrays."""
+    diff = np.abs(X[:, :, None] - X[:, None, :])  # |x_i - x_j| at [n, i, j]
+    tol = delta * np.abs(X)[:, None, :]
+    close = (diff <= tol) & (np.abs(X) > 0)[:, None, :]
+    idx = np.arange(X.shape[1])
+    close[:, idx, idx] = False
+    return close.any(axis=(1, 2))
+
+
+def traced_peak(fn, *args):
+    """Result of fn(*args) and the peak of memory allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+SPECIAL_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300,
+)
+DELTAS = st.one_of(
+    st.floats(1e-6, 1e3),
+    st.sampled_from([0.5, 1 - 2**-52, 1 - 2**-53, 1.0, 1 + 2**-52, 2.0]),
+)
+
+
+@st.composite
+def adversarial_batches(draw):
+    """(X, delta): rows built from a small pool of signed zeros, subnormals,
+    huge values and values a rounding step either side of x (1 +- delta)."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    delta = draw(DELTAS)
+    base = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300)),
+        min_size=1, max_size=4,
+    ))
+    pool = list(base)
+    for v in base:
+        for w in (v * (1 + delta), v * (1 - delta)):
+            if np.isfinite(w):
+                pool += [w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * d, max_size=n * d))
+    X = np.array([pool[k] for k in picks], dtype=np.float64).reshape(n, d)
+    return X, delta
 
 
 def constant_net(d: int, c: float) -> FeedForwardNet:
@@ -75,6 +132,49 @@ class TestSeparation:
                 if i != j and 1 - delta <= xi / xj <= 1 + delta:
                     naive = False
         assert is_delta_separated(xs, delta) == naive
+
+    @settings(max_examples=400)
+    @given(batch=adversarial_batches())
+    def test_sorted_neighbours_match_pairwise_mask(self, batch):
+        X, delta = batch
+        np.testing.assert_array_equal(
+            _violation_mask(X, delta), pairwise_violation_mask(X, delta)
+        )
+
+    def test_signed_zeros_and_subnormals(self):
+        X = np.array([
+            [0.0, -0.0],             # two zeros impose nothing
+            [0.0, 5e-324],           # ratio 0 / 5e-324 = 0: far from 1
+            [-5e-324, 5e-324],       # ratio -1
+            [5e-324, 5e-324],        # equal nonzeros always violate
+            [-1e-310, -1e-310],
+        ])
+        for delta, expected in [
+            (0.5, [False, False, False, True, True]),
+            # delta >= 1: a zero next to a nonzero violates
+            (1.0, [False, True, False, True, True]),
+        ]:
+            np.testing.assert_array_equal(_violation_mask(X, delta), expected)
+            np.testing.assert_array_equal(pairwise_violation_mask(X, delta), expected)
+
+    def test_mask_memory_is_linear_in_d(self):
+        # the pairwise form needs 4096 * 128 * 128 * 8 B = 537 MB per array
+        X = np.random.default_rng(0).random((4096, 128))
+        mask, peak = traced_peak(_violation_mask, X, 1e-3)
+        np.testing.assert_array_equal(mask[:64], pairwise_violation_mask(X[:64], 1e-3))
+        assert peak < 32 * MiB
+
+    def test_violation_prob_at_d96_fits_in_memory(self):
+        dist = DistributionSpec.uniform_box(96)
+        est, peak = traced_peak(estimate_violation_prob, dist, 1e-3, 65536)
+        assert est.n_samples == 65536
+        assert peak < 512 * MiB
+
+    def test_sample_separated_at_d1024_fits_in_memory(self):
+        X, peak = traced_peak(sample_separated, DistributionSpec.uniform_box(1024), 1e-9, 256)
+        assert peak < 512 * MiB
+        assert X.shape == (256, 1024)
+        assert all(is_delta_separated(x, 1e-9) for x in X)
 
 
 class TestSeparationFromGap:
@@ -148,6 +248,30 @@ class TestViolationProbability:
         dist = DistributionSpec.iid_plus_noise(3, noise_scale=0.3, seed=2)
         est = estimate_violation_prob(dist, 1e-5, 50_000)
         assert est.proportion < 1e-2
+
+
+class TestMaxThreads:
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("MAXNET_THREADS", raising=False)
+        assert max_threads() == 1
+
+    @pytest.mark.parametrize("value", ["", "two", "1.5", "0", "-3"])
+    def test_invalid_value_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("MAXNET_THREADS", value)
+        with pytest.raises(ValueError, match="MAXNET_THREADS"):
+            max_threads()
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("MAXNET_THREADS", "100000")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert max_threads() == 3
+        monkeypatch.setenv("MAXNET_THREADS", "2")
+        assert max_threads() == 2
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setenv("MAXNET_THREADS", "8")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert max_threads() == 1
 
 
 class TestWilson:
