@@ -4,7 +4,6 @@ Monte Carlo error estimation, and the numerics behind the width floors."""
 __version__ = "0.1.0"
 
 from .network import (
-    ACTIVATIONS,
     AffineLayer,
     FeedForwardNet,
     NetStats,

@@ -122,6 +122,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_error(args) -> int:
+    header = csv_text(
+        ["d", "depth", "width", "alpha", "dist", "n", "mse", "ci_low", "ci_high", "seed"], []
+    )
+    body = ""
+    if os.path.exists(args.out):
+        with open(args.out, "r", encoding="utf-8", newline="") as fh:
+            body = fh.read()
+    if body and not body.startswith(header):
+        raise ValueError(f"{args.out} does not start with the error CSV header; not appending")
     net = load(args.net)
     dist = _dist_from_args(args)
     est = mc_l2_error(net, row_max, dist, args.n, seed=args.seed)
@@ -130,17 +139,10 @@ def cmd_error(args) -> int:
         args.d, s.depth, s.width, repr(s.max_abs_weight), args.dist, args.n,
         repr(est.mean_sq_error), repr(est.ci95[0]), repr(est.ci95[1]), args.seed,
     ]
-    header = ["d", "depth", "width", "alpha", "dist", "n", "mse", "ci_low", "ci_high", "seed"]
-    body = ""
-    if os.path.exists(args.out):
-        with open(args.out, "r", encoding="utf-8", newline="") as fh:
-            body = fh.read()
-    if not body:
-        body = csv_text(header, [])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(row)
-    atomic_write(args.out, body + buf.getvalue())
+    atomic_write(args.out, (body or header) + buf.getvalue())
     write_manifest("error", vars(args), args.seed, [args.out])
     print(f"mse={est.mean_sq_error!r} ci=({est.ci95[0]!r}, {est.ci95[1]!r})")
     return 0

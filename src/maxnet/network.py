@@ -1,43 +1,21 @@
 """Feedforward network representation, evaluation, and serialization.
 
 A network is an immutable stack of affine layers. Every layer except the
-last applies a scalar activation elementwise; the last layer is purely
-affine with a single output neuron. Depth is the number of hidden layers
-plus one, width is the size of the largest hidden layer, and size is the
-total neuron count across all layers.
+last applies ReLU elementwise; the last layer is purely affine with a
+single output neuron. Depth is the number of hidden layers plus one, width
+is the size of the largest hidden layer, and size is the total neuron count
+across all layers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 FORMAT_TAG = "maxnet-ffn/1"
-
-
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
-def _identity(z: np.ndarray) -> np.ndarray:
-    return z
-
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(z, 0.0)
-
-
-# Closed enumeration: relu is what the constructions emit; identity and
-# softplus exist so the evaluator can be exercised with other polynomially
-# bounded activations.
-ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "relu": _relu,
-    "identity": _identity,
-    "softplus": _softplus,
-}
 
 
 class ParseError(ValueError):
@@ -125,10 +103,9 @@ class FeedForwardNet:
             raise ValueError("input_dim must be >= 1")
         if not self.layers:
             raise ValueError("a network needs at least the output layer")
-        if self.activation not in ACTIVATIONS:
+        if self.activation != "relu":
             raise ValueError(
-                f"unknown activation {self.activation!r}; "
-                f"choose one of {sorted(ACTIVATIONS)}"
+                f"unknown activation {self.activation!r}; only 'relu' is supported"
             )
         expect = self.input_dim
         for idx, layer in enumerate(self.layers):
@@ -171,13 +148,12 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("inputs must be finite")
-    act = ACTIVATIONS[net.activation]
     h = X
     for layer in net.layers:
         h = h @ layer.weights.T
         h += layer.biases
         if layer.apply_activation:
-            h = act(h)
+            h = np.maximum(h, 0.0)
         if not np.all(np.isfinite(h)):
             bad = int(np.argwhere(~np.isfinite(h))[0, 0])
             raise NumericOverflowError(
@@ -208,16 +184,6 @@ def stats(net: FeedForwardNet) -> NetStats:
             float(np.abs(layer.biases).max(initial=0.0)),
         )
     return NetStats(depth=depth, width=width, size=size, max_abs_weight=max_abs)
-
-
-def lipschitz_upper_bound(net: FeedForwardNet) -> float:
-    """Product of layer Frobenius norms, an upper bound on the Lipschitz
-    constant of the network for 1-Lipschitz activations (relu, identity,
-    softplus all qualify)."""
-    bound = 1.0
-    for layer in net.layers:
-        bound *= float(np.linalg.norm(layer.weights))
-    return bound
 
 
 def serialize(net: FeedForwardNet) -> str:

@@ -1,40 +1,20 @@
 """Distributions, ratio-separation tests, and Monte Carlo error estimation.
 
 Sampling is sharded: shard i of a run with root seed s draws from
-``default_rng([s, i])``, so estimates are reproducible bit-for-bit and
-independent of how many worker threads execute the shards. The reduction
-(sums of per-sample squared errors) is performed in shard order.
+``default_rng([s, i])``, so estimates are reproducible bit-for-bit. Shards
+run one after another and their sums are reduced in shard order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .network import FeedForwardNet, evaluate_batch
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-def max_threads() -> int:
-    """Worker-thread cap, from MAXNET_THREADS (default 1).
-
-    Values above ``os.cpu_count()`` are clamped to it; a value that is not
-    a positive integer raises ValueError. Only affects wall-clock time;
-    results are identical for any value.
-    """
-    raw = os.environ.get("MAXNET_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"MAXNET_THREADS must be a positive integer, got {raw!r}")
-    return min(threads, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -211,18 +191,13 @@ def separation_from_gap(x, gap_delta: float, bound_M: float) -> SeparationCertif
     return SeparationCertificate(True, gap_delta / bound_M, "gap and bound hold")
 
 
-def _shard_sizes(n: int, chunk: int) -> list[int]:
-    full, rem = divmod(n, chunk)
-    return [chunk] * full + ([rem] if rem else [])
-
-
-def _run_shards(worker: Callable[[int, int], tuple], sizes: list[int], threads: int):
-    """Execute shards, returning results in shard order regardless of the
-    execution schedule."""
-    if threads <= 1 or len(sizes) <= 1:
-        return [worker(i, m) for i, m in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(len(sizes)), sizes))
+def _shards(
+    dist: DistributionSpec, n: int, chunk: int, root: int
+) -> Iterator[np.ndarray]:
+    """Yield n samples in shards of ``chunk`` rows; shard i draws from
+    ``default_rng([root, i])``. The last shard holds the remainder."""
+    for i, start in enumerate(range(0, n, chunk)):
+        yield dist.sample(min(chunk, n - start), np.random.default_rng([root, i]))
 
 
 def _default_chunk(width_hint: int) -> int:
@@ -241,13 +216,12 @@ def mc_l2_error(
     n: int,
     seed: int | None = None,
     chunk: int | None = None,
-    threads: int | None = None,
 ) -> ErrorEstimate:
     """Unbiased Monte Carlo estimate of E[(net(x) - target(x))^2].
 
     ``target`` maps an (n, d) batch to an (n,) vector. Deterministic given
     (dist, seed); the chunk size is a fixed function of the network shape
-    so results do not depend on memory pressure or thread count.
+    so results do not depend on memory pressure.
     """
     if net.input_dim != dist.d:
         raise ValueError(f"net expects d={net.input_dim}, distribution has d={dist.d}")
@@ -256,18 +230,12 @@ def mc_l2_error(
     root = dist.seed if seed is None else seed
     if chunk is None:
         chunk = _default_chunk(_net_width_hint(net))
-    sizes = _shard_sizes(n, chunk)
-
-    def worker(i: int, m: int):
-        rng = np.random.default_rng([root, i])
-        X = dist.sample(m, rng)
+    s1 = s2 = 0.0
+    for X in _shards(dist, n, chunk, root):
         err = evaluate_batch(net, X) - target(X)
         sq = err * err
-        return float(sq.sum()), float((sq * sq).sum())
-
-    parts = _run_shards(worker, sizes, max_threads() if threads is None else threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
+        s1 += float(sq.sum())
+        s2 += float((sq * sq).sum())
     mean = s1 / n
     var = max(0.0, (s2 - n * mean * mean) / (n - 1))
     se = (var / n) ** 0.5
@@ -296,7 +264,6 @@ def estimate_violation_prob(
     n: int,
     seed: int | None = None,
     chunk: int = 65536,
-    threads: int | None = None,
 ) -> ProportionEstimate:
     """Monte Carlo estimate of P[X not delta-separated] with a Wilson CI."""
     if delta <= 0:
@@ -304,15 +271,9 @@ def estimate_violation_prob(
     if n < 1:
         raise ValueError("n must be >= 1")
     root = dist.seed if seed is None else seed
-    sizes = _shard_sizes(n, chunk)
-
-    def worker(i: int, m: int):
-        rng = np.random.default_rng([root, i])
-        X = dist.sample(m, rng)
-        return int(_violation_mask(X, delta).sum())
-
-    parts = _run_shards(worker, sizes, max_threads() if threads is None else threads)
-    hits = sum(parts)
+    hits = sum(
+        int(_violation_mask(X, delta).sum()) for X in _shards(dist, n, chunk, root)
+    )
     p = hits / n
     se = (p * (1 - p) / n) ** 0.5
     return ProportionEstimate(
@@ -329,11 +290,10 @@ def sample_separated(
 ) -> np.ndarray:
     """Rejection-sample n points conditioned on delta-separation."""
     root = dist.seed if seed is None else seed
+    m = max(n, 1024)
     kept: list[np.ndarray] = []
     total = 0
-    for i in range(max_draws):
-        rng = np.random.default_rng([root, i])
-        X = dist.sample(max(n, 1024), rng)
+    for X in _shards(dist, max_draws * m, m, root):
         X = X[~_violation_mask(X, delta)]
         kept.append(X)
         total += len(X)

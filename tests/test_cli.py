@@ -99,6 +99,34 @@ class TestError:
                  "--seed", seed, "--out", str(csv_file)], capsys)
         assert len(csv_file.read_text().strip().splitlines()) == 3
 
+    def test_foreign_header_exits_2_and_leaves_file(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
+        csv_file = tmp_path / "err.csv"
+        csv_file.write_bytes(b"x,y\n1,2\n")
+        code, _, err = run(
+            ["error", "--net", str(net_file), "--d", "2", "--n", "1000",
+             "--seed", "1", "--out", str(csv_file)],
+            capsys,
+        )
+        assert code == 2 and "header" in err
+        assert csv_file.read_bytes() == b"x,y\n1,2\n"
+        assert not (tmp_path / "err.csv.manifest.json").exists()
+
+    def test_non_relu_activation_exits_2(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
+        doc = json.loads(net_file.read_text())
+        doc["activation"] = "softplus"
+        net_file.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["error", "--net", str(net_file), "--d", "2", "--n", "100",
+             "--seed", "1", "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 2 and "softplus" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
         run(["construct", "exact-tree", "--d", "3", "--out", str(net_file)], capsys)
@@ -249,17 +277,6 @@ class TestSeparation:
         assert (tmp_path / "sep.csv").read_bytes() == first
         prob = float(first.decode().strip().splitlines()[1].split(",")[4])
         assert prob <= 2 * 4 * 0.01 + 0.01
-
-    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
-    def test_invalid_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("MAXNET_THREADS", value)
-        code, _, err = run(
-            ["separation", "--d", "2", "--delta", "0.01", "--n", "1000",
-             "--seed", "3", "--out", str(tmp_path / "sep.csv")],
-            capsys,
-        )
-        assert code == 2 and "MAXNET_THREADS" in err
-        assert not (tmp_path / "sep.csv").exists()
 
 
 class TestManifestStability:

@@ -1,6 +1,5 @@
 """Distributions, separation machinery, and Monte Carlo estimator tests."""
 
-import os
 import tracemalloc
 
 import numpy as np
@@ -14,6 +13,7 @@ from maxnet import (
     alpha_for_accuracy,
     depth3_max,
     estimate_violation_prob,
+    evaluate_batch,
     exact_max_tree,
     is_delta_separated,
     max_oracle,
@@ -23,7 +23,7 @@ from maxnet import (
     separation_from_gap,
     wilson_interval,
 )
-from maxnet.sampling import _violation_mask, max_threads
+from maxnet.sampling import _violation_mask
 
 MiB = 2**20
 
@@ -250,30 +250,6 @@ class TestViolationProbability:
         assert est.proportion < 1e-2
 
 
-class TestMaxThreads:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("MAXNET_THREADS", raising=False)
-        assert max_threads() == 1
-
-    @pytest.mark.parametrize("value", ["", "two", "1.5", "0", "-3"])
-    def test_invalid_value_names_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("MAXNET_THREADS", value)
-        with pytest.raises(ValueError, match="MAXNET_THREADS"):
-            max_threads()
-
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("MAXNET_THREADS", "100000")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert max_threads() == 3
-        monkeypatch.setenv("MAXNET_THREADS", "2")
-        assert max_threads() == 2
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setenv("MAXNET_THREADS", "8")
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert max_threads() == 1
-
-
 class TestWilson:
     def test_interval_contains_phat_and_stays_in_unit(self):
         lo, hi = wilson_interval(7, 50)
@@ -317,13 +293,6 @@ class TestMcL2Error:
         c = mc_l2_error(net, row_max, dist, 50_000, seed=2)
         assert a == b
         assert a.mean_sq_error != c.mean_sq_error
-
-    def test_thread_count_does_not_change_estimate(self):
-        dist = DistributionSpec.uniform_box(3, seed=1)
-        net = depth3_max(3, 100.0)
-        a = mc_l2_error(net, row_max, dist, 50_000, chunk=8192, threads=1)
-        b = mc_l2_error(net, row_max, dist, 50_000, chunk=8192, threads=4)
-        assert a == b
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -385,3 +354,52 @@ class TestSampleSeparated:
         dist = DistributionSpec.uniform_box(2, seed=8)
         with pytest.raises(RuntimeError):
             sample_separated(dist, 5.0, 100, max_draws=3)
+
+
+class TestShardContract:
+    """Shard i of a run with root seed r holds the next min(chunk, rows left)
+    draws of default_rng([r, i]); shards are reduced in shard order."""
+
+    N, CHUNK, ROOT = 50_000, 8192, 11
+
+    def shards(self, dist, n, chunk):
+        full, rem = divmod(n, chunk)
+        sizes = [chunk] * full + ([rem] if rem else [])
+        return [dist.sample(m, np.random.default_rng([self.ROOT, i])) for i, m in enumerate(sizes)]
+
+    @pytest.mark.parametrize(
+        "estimator", ["mc_l2_error", "estimate_violation_prob", "sample_separated"]
+    )
+    def test_estimators_match_a_hand_written_shard_loop(self, estimator):
+        n, chunk = self.N, self.CHUNK
+        assert n % chunk  # a remainder shard
+        if estimator == "mc_l2_error":
+            dist = DistributionSpec.uniform_box(3, seed=1)
+            net = depth3_max(3, 100.0)
+            s1 = s2 = 0.0
+            for X in self.shards(dist, n, chunk):
+                err = evaluate_batch(net, X) - row_max(X)
+                sq = err * err
+                s1 += float(sq.sum())
+                s2 += float((sq * sq).sum())
+            est = mc_l2_error(net, row_max, dist, n, seed=self.ROOT, chunk=chunk)
+            mean = s1 / n
+            assert est.mean_sq_error == mean
+            assert est.std_error == (max(0.0, (s2 - n * mean * mean) / (n - 1)) / n) ** 0.5
+        elif estimator == "estimate_violation_prob":
+            dist = DistributionSpec.gaussian_std(8, seed=1)
+            hits = sum(int(_violation_mask(X, 0.05).sum()) for X in self.shards(dist, n, chunk))
+            est = estimate_violation_prob(dist, 0.05, n, seed=self.ROOT, chunk=chunk)
+            assert 0 < hits < n
+            assert est.proportion == hits / n
+            assert est.ci95 == wilson_interval(hits, n)
+        else:
+            # rounds of max(n, 1024) draws, filtered, until n points are kept
+            dist = DistributionSpec.uniform_box(4, seed=1)
+            rounds = [X[~_violation_mask(X, 0.1)] for X in self.shards(dist, 5 * n, n)]
+            kept = np.cumsum([len(X) for X in rounds])
+            used = int(np.searchsorted(kept, n)) + 1
+            assert used > 1
+            expected = np.concatenate(rounds[:used])[:n]
+            got = sample_separated(dist, 0.1, n, seed=self.ROOT)
+            assert got.tobytes() == expected.tobytes()
