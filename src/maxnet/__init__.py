@@ -33,20 +33,15 @@ from .sampling import (
     DistributionSpec,
     ErrorEstimate,
     ProportionEstimate,
-    SeparationCertificate,
     estimate_violation_prob,
     is_delta_separated,
-    max_oracle,
     mc_l2_error,
     row_max,
     sample_separated,
-    separation_from_gap,
     wilson_interval,
 )
 from .spectral import (
-    SkewMap,
     SpectralPoint,
-    big_fourier_floor,
     dawson,
     dawson_quadrature_oracle,
     direction_component,

@@ -139,22 +139,35 @@ class NetStats:
     max_abs_weight: float
 
 
+def _all_finite(h: np.ndarray, nonnegative: bool = False) -> bool:
+    """True iff h holds no inf or NaN, found by reductions that allocate
+    nothing: NaN propagates through max and min, and a ReLU output has no
+    -inf, so its max alone decides."""
+    if h.size == 0:
+        return True
+    return bool(np.isfinite(h.max()) and (nonnegative or np.isfinite(h.min())))
+
+
 def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch of inputs, shape (n, input_dim) -> (n,)."""
+    """Evaluate the network on a batch of inputs, shape (n, input_dim) -> (n,).
+
+    Each layer's bias and ReLU are applied in place to its fresh product,
+    so the caller's X is never written.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ValueError(
             f"expected inputs of shape (n, {net.input_dim}), got {X.shape}"
         )
-    if not np.all(np.isfinite(X)):
+    if not _all_finite(X):
         raise ValueError("inputs must be finite")
     h = X
     for layer in net.layers:
         h = h @ layer.weights.T
         h += layer.biases
         if layer.apply_activation:
-            h = np.maximum(h, 0.0)
-        if not np.all(np.isfinite(h)):
+            np.maximum(h, 0.0, out=h)
+        if not _all_finite(h, nonnegative=layer.apply_activation):
             bad = int(np.argwhere(~np.isfinite(h))[0, 0])
             raise NumericOverflowError(
                 "non-finite intermediate during evaluation", sample=X[bad].copy()

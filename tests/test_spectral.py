@@ -1,4 +1,4 @@
-"""Dawson's integral, the clipped-max transform, skew maps, and floors.
+"""Dawson's integral, the clipped-max transform, and its directional floor.
 
 Quadrature oracles are the reference: the closed forms are checked against
 adaptive integration of the defining integrals, never against themselves.
@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxnet import (
-    SkewMap,
-    big_fourier_floor,
     dawson,
     dawson_quadrature_oracle,
     direction_component,
@@ -160,63 +158,3 @@ class TestQuadratureOracle:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValueError):
             quadrature_transform_oracle([1.0], T=4.0)
-
-
-class TestSkew:
-    def test_definition(self):
-        s = SkewMap(d=3)
-        np.testing.assert_array_equal(s.apply([1.0, 2.0, 3.0]), [1.0, 1.0, 2.0])
-
-    def test_inverse_transpose(self):
-        s = SkewMap(d=3)
-        np.testing.assert_array_equal(
-            s.inverse_transpose_apply([1.0, 1.0, 1.0]), [3.0, 1.0, 1.0]
-        )
-
-    def test_unit_determinant(self):
-        for d in (2, 3, 5, 8):
-            assert np.linalg.det(SkewMap(d=d).matrix()) == pytest.approx(1.0, rel=1e-12)
-
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6))
-    def test_round_trip_through_matrix_inverse(self, seed, d):
-        s = SkewMap(d=d)
-        x = np.random.default_rng(seed).uniform(-5, 5, d)
-        back = np.linalg.inv(s.matrix()) @ s.apply(x)
-        np.testing.assert_allclose(back, x, atol=1e-12)
-
-    def test_matrix_agrees_with_apply(self):
-        s = SkewMap(d=4, direction=2)
-        x = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_allclose(s.matrix() @ x, s.apply(x), atol=1e-15)
-
-    def test_inverse_transpose_agrees_with_matrix(self):
-        s = SkewMap(d=4, direction=1)
-        xi = np.array([0.5, 1.5, -2.0, 1.0])
-        want = np.linalg.inv(s.matrix()).T @ xi
-        np.testing.assert_allclose(s.inverse_transpose_apply(xi), want, atol=1e-12)
-
-
-class TestBigFourierFloor:
-    def test_two_symmetric_components(self):
-        # each component contributes (1/400)(1/10)
-        got = big_fourier_floor([10.0, 10.0], b=50.0)
-        assert got == pytest.approx(2 * (1 / 400) * (1 / 10), rel=1e-12)
-
-    def test_monotone_decreasing_in_each_coordinate(self):
-        base = big_fourier_floor([15.0, 16.0, 17.0], b=100.0)
-        for j in range(3):
-            xi = np.array([15.0, 16.0, 17.0])
-            xi[j] += 5.0
-            assert big_fourier_floor(xi, b=100.0) < base
-
-    def test_homogeneity_degree(self):
-        xi = np.array([15.0, 16.0, 17.0])
-        d = 3
-        ratio = big_fourier_floor(xi, b=100.0) / big_fourier_floor(2 * xi, b=100.0)
-        assert ratio == pytest.approx(2 ** (d + 1), rel=1e-12)
-
-    def test_domain_box(self):
-        with pytest.raises(ValueError):
-            big_fourier_floor([3.0, 10.0], b=50.0)  # below c*d = 8
-        with pytest.raises(ValueError):
-            big_fourier_floor([10.0, 60.0], b=50.0)
