@@ -35,6 +35,7 @@ from .sampling import (
     ProportionEstimate,
     estimate_violation_prob,
     is_delta_separated,
+    max_oracle,
     mc_l2_error,
     row_max,
     sample_separated,
@@ -42,6 +43,7 @@ from .sampling import (
 )
 from .spectral import (
     SpectralPoint,
+    big_fourier_floor,
     dawson,
     dawson_quadrature_oracle,
     direction_component,

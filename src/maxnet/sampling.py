@@ -128,6 +128,14 @@ class ProportionEstimate:
 _FOLD_MAX_D = 12
 
 
+def max_oracle(x) -> float:
+    """Exact maximum of a nonempty vector; the target of every construction."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("max of an empty vector is undefined")
+    return float(np.max(x))
+
+
 def row_max(X: np.ndarray) -> np.ndarray:
     """Row maxima of an (n, d) batch: ``np.max(X, axis=1)``, bit for bit.
 

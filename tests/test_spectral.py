@@ -1,4 +1,4 @@
-"""Dawson's integral, the clipped-max transform, and its directional floor.
+"""Dawson's integral, the clipped-max transform, and its magnitude floors.
 
 Quadrature oracles are the reference: the closed forms are checked against
 adaptive integration of the defining integrals, never against themselves.
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxnet import (
+    big_fourier_floor,
     dawson,
     dawson_quadrature_oracle,
     direction_component,
@@ -158,3 +159,29 @@ class TestQuadratureOracle:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValueError):
             quadrature_transform_oracle([1.0], T=4.0)
+
+
+class TestBigFourierFloor:
+    def test_two_symmetric_components(self):
+        # each component contributes (1/400)(1/10)
+        got = big_fourier_floor([10.0, 10.0], b=50.0)
+        assert got == pytest.approx(2 * (1 / 400) * (1 / 10), rel=1e-12)
+
+    def test_monotone_decreasing_in_each_coordinate(self):
+        base = big_fourier_floor([15.0, 16.0, 17.0], b=100.0)
+        for j in range(3):
+            xi = np.array([15.0, 16.0, 17.0])
+            xi[j] += 5.0
+            assert big_fourier_floor(xi, b=100.0) < base
+
+    def test_homogeneity_degree(self):
+        xi = np.array([15.0, 16.0, 17.0])
+        d = 3
+        ratio = big_fourier_floor(xi, b=100.0) / big_fourier_floor(2 * xi, b=100.0)
+        assert ratio == pytest.approx(2 ** (d + 1), rel=1e-12)
+
+    def test_domain_box(self):
+        with pytest.raises(ValueError):
+            big_fourier_floor([3.0, 10.0], b=50.0)  # below c*d = 8
+        with pytest.raises(ValueError):
+            big_fourier_floor([10.0, 60.0], b=50.0)
