@@ -35,7 +35,6 @@ from .sampling import (
     ProportionEstimate,
     estimate_violation_prob,
     is_delta_separated,
-    max_oracle,
     mc_l2_error,
     row_max,
     sample_separated,
@@ -43,7 +42,6 @@ from .sampling import (
 )
 from .spectral import (
     SpectralPoint,
-    big_fourier_floor,
     dawson,
     dawson_quadrature_oracle,
     direction_component,

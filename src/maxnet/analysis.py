@@ -24,6 +24,10 @@ from .network import AffineLayer, FeedForwardNet, evaluate_batch
 from .sampling import DistributionSpec, ErrorEstimate, mc_l2_error, row_max
 
 FLOOR_COEFF = 120.0  # mse >= 1 / (FLOOR_COEFF * d^4.5)
+RANK_TOL = 1e-10  # kernel_direction's rank tolerance, relative to max|W|
+CONSTANCY_LINES = 8  # kernel-axis lines that kernel_constancy_deviation probes
+CONSTANCY_GRID = 21  # points per line
+CONSTANCY_TOL = 1e-9  # largest variation along the kernel parallelotope_floor accepts
 
 
 @dataclass(frozen=True)
@@ -198,10 +202,10 @@ def _orthogonal_complement_vector(W: np.ndarray, tol: float) -> np.ndarray:
     return best
 
 
-def kernel_direction(W: AffineLayer | np.ndarray, tol_factor: float = 1e-10) -> KernelDirection:
+def kernel_direction(W: AffineLayer | np.ndarray) -> KernelDirection:
     """Unit vector annihilated by a first layer with at most d-1 rows.
 
-    Rank decisions use the tolerance tol_factor * max|W|. The zero matrix
+    Rank decisions use the tolerance RANK_TOL * max|W|. The zero matrix
     canonicalizes to e_1.
     """
     W = W.weights if isinstance(W, AffineLayer) else np.asarray(W, dtype=np.float64)
@@ -215,7 +219,7 @@ def kernel_direction(W: AffineLayer | np.ndarray, tol_factor: float = 1e-10) -> 
         v = np.zeros(d)
         v[0] = 1.0
     else:
-        tol = tol_factor * scale
+        tol = RANK_TOL * scale
         v = _eliminate_null_vector(W, tol)
         v = v / np.linalg.norm(v)
         if float(np.abs(W @ v).max()) > 1e-9 * scale:
@@ -302,8 +306,6 @@ class FloorReport:
 def kernel_constancy_deviation(
     net: FeedForwardNet,
     para: Parallelotope,
-    n_lines: int = 8,
-    n_grid: int = 21,
     seed: int = 0,
 ) -> float:
     """Largest output variation along the kernel axis of the parallelotope.
@@ -312,11 +314,11 @@ def kernel_constancy_deviation(
     residuals keep the observed variation near machine precision.
     """
     rng = np.random.default_rng(seed)
-    rest = rng.random((n_lines, para.d - 1))
-    t = np.linspace(0.0, 1.0, n_grid)
+    rest = rng.random((CONSTANCY_LINES, para.d - 1))
+    t = np.linspace(0.0, 1.0, CONSTANCY_GRID)
     dev = 0.0
     for row in rest:
-        X = np.column_stack([t, np.repeat(row[None, :], n_grid, axis=0)])
+        X = np.column_stack([t, np.repeat(row[None, :], CONSTANCY_GRID, axis=0)])
         vals = evaluate_batch(net, para.apply(X))
         dev = max(dev, float(vals.max() - vals.min()))
     return dev
@@ -326,7 +328,6 @@ def parallelotope_floor(
     net: FeedForwardNet,
     n: int = 10**6,
     seed: int = 0,
-    constancy_tol: float = 1e-9,
 ) -> FloorReport:
     """Verify the kernel-direction error floor for a narrow-first-layer net.
 
@@ -344,7 +345,7 @@ def parallelotope_floor(
     kd = kernel_direction(first)
     para = build_parallelotope(kd)
     dev = kernel_constancy_deviation(net, para, seed=seed)
-    if dev > constancy_tol:
+    if dev > CONSTANCY_TOL:
         raise ArithmeticError(
             f"network varies by {dev} along its kernel direction"
         )

@@ -62,7 +62,7 @@ class AffineLayer:
             raise ValueError(
                 f"bias shape {b.shape} does not match {w.shape[0]} output rows"
             )
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(b)):
+        if not (_all_finite(w) and _all_finite(b)):
             raise ValueError("layer parameters must be finite")
         w = np.ascontiguousarray(w)
         w.setflags(write=False)
@@ -191,11 +191,9 @@ def stats(net: FeedForwardNet) -> NetStats:
     size = sum(layer.out_width for layer in net.layers)
     max_abs = 0.0
     for layer in net.layers:
-        max_abs = max(
-            max_abs,
-            float(np.abs(layer.weights).max(initial=0.0)),
-            float(np.abs(layer.biases).max(initial=0.0)),
-        )
+        for p in (layer.weights, layer.biases):
+            # max |p| without an |p|-sized temporary
+            max_abs = max(max_abs, float(p.max(initial=0.0)), float(-p.min(initial=0.0)))
     return NetStats(depth=depth, width=width, size=size, max_abs_weight=max_abs)
 
 

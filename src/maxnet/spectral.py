@@ -5,9 +5,8 @@ external special-function dependencies, the closed-form Fourier transform of
 the clipped-max factor q1(x) exp(-||x||^2/4) under the convention
 F(f)(xi) = int f(x) exp(-i <xi, x>) dx (no 2 pi normalization; this is the
 convention under which the transform at xi = 0 equals 2 pi^((d-1)/2)),
-quadrature oracles for both, the explicit directional floor on the
-transform at large frequencies, and the explicit core of the large-frequency
-magnitude floor.
+quadrature oracles for both, and the explicit directional floor on the
+transform at large frequencies.
 """
 
 from __future__ import annotations
@@ -248,24 +247,3 @@ def quadrature_transform_oracle(
         others = math.prod(caps[:axis] + caps[axis + 1 :])
         trunc += (tail_first if axis == 0 else tail_rest) * others
     return QuadratureTransform(value=value, truncation_bound=trunc)
-
-
-def big_fourier_floor(xi, b: float, c: float = 4.0) -> float:
-    """Explicit core of the large-frequency magnitude floor.
-
-    Sums, over the d symmetric components of the maximum, the directional
-    floor (1/(sum_j xi_j)^2) prod_{j != m} (1/xi_j). Valid for frequencies
-    whose coordinates all lie in [c*d, b]; the constant-order factor
-    2^(-O(d)) of the full statement is not specified, so this value is a
-    heuristic floor rather than a certified bound.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    d = xi.size
-    if b <= 0 or c <= 0:
-        raise ValueError("b and c must be positive")
-    lo = c * d
-    if np.any(xi < lo) or np.any(xi > b):
-        raise ValueError(f"coordinates must lie in [{lo}, {b}]")
-    total_sq = float(xi.sum()) ** 2
-    prod_all = float(np.prod(xi))
-    return float(sum(xi[m] / prod_all / total_sq for m in range(d)))

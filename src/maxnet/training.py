@@ -37,14 +37,13 @@ class TrainConfig:
     batch: int = 64
     steps: int = 2000
     seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "arch", tuple(self.arch))
         if self.d < 1 or not self.arch or any(w < 1 for w in self.arch):
             raise ValueError("d and every hidden width must be positive")
-        if self.lr <= 0 or self.batch < 1 or self.steps < 1 or self.init_scale <= 0:
-            raise ValueError("lr, batch, steps, init_scale must be positive")
+        if self.lr <= 0 or self.batch < 1 or self.steps < 1:
+            raise ValueError("lr, batch, steps must be positive")
         if self.dist.d != self.d:
             raise ValueError("distribution dimension must match d")
 
@@ -59,7 +58,8 @@ def init_params(cfg: TrainConfig, rng: np.random.Generator) -> Params:
     widths = [cfg.d, *cfg.arch, 1]
     params: Params = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        W = rng.standard_normal((fan_out, fan_in)) * (cfg.init_scale / np.sqrt(fan_in))
+        # a product with 1/sqrt(fan_in): dividing by sqrt(fan_in) rounds differently
+        W = rng.standard_normal((fan_out, fan_in)) * (1.0 / np.sqrt(fan_in))
         params.append((W, np.zeros(fan_out)))
     return params
 
@@ -144,7 +144,6 @@ def width_sweep(
     lr: float = 0.05,
     batch: int = 64,
     steps: int = 2000,
-    init_scale: float = 1.0,
     heldout_n: int = 10**5,
     heldout_seed: int = 10**9,
 ) -> list[SweepCell]:
@@ -168,7 +167,6 @@ def width_sweep(
                 batch=batch,
                 steps=steps,
                 seed=seed,
-                init_scale=init_scale,
             )
             try:
                 result = train(cfg)

@@ -2,10 +2,13 @@
 
 The independent oracle for the depth-3 family is a direct scalar
 transcription of the defining formula (sums of clipped terms), kept apart
-from the layered matrix path it validates.
+from the layered matrix path it validates. The recursion's in-place
+assembly is checked bit for bit against a dense reference that builds
+block-diagonal layers and merges batch maxima by a matrix product.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +33,7 @@ from maxnet import (
     stats,
     DistributionSpec,
 )
+from maxnet.constructions import _depth3_layers
 
 
 def relu(t: float) -> float:
@@ -45,6 +49,46 @@ def depth3_formula(x, alpha: float) -> float:
         penalty = sum(relu(alpha * x[j] - alpha * x[i]) for j in range(d) if j != i)
         total += relu(relu(x[i]) - penalty) - relu(relu(-x[i]) - penalty)
     return total
+
+
+def block_diag(blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
+def dense_deep_layers(d: int, alpha: float, k: int):
+    """Reference assembly of deep_max as (weights, biases) pairs: dense
+    block-diagonal layers, and batch maxima merged into the inner first
+    layer by a matrix product."""
+    if k == 1:
+        return [(l.weights, l.biases) for l in _depth3_layers(d, alpha)]
+    sizes = batch_split(d, k)
+    blocks = [_depth3_layers(s, alpha) for s in sizes]
+    w1 = block_diag([b[0].weights for b in blocks])
+    w2 = block_diag([b[1].weights for b in blocks])
+    out_rows = block_diag([b[2].weights for b in blocks])  # batch maxima
+    inner = dense_deep_layers(len(sizes), alpha, k - 1)
+    return [
+        (w1, np.zeros(w1.shape[0])),
+        (w2, np.zeros(w2.shape[0])),
+        (inner[0][0] @ out_rows, inner[0][1]),
+        *inner[1:],
+    ]
+
+
+# (d, k, alpha) settings of the recursion, k = 2..4, with size-1 batches
+# (d = 2, 3) and alpha below and above 1
+DEEP_GRID = [
+    (d, k, alpha)
+    for d, k in [(2, 2), (3, 2), (5, 2), (9, 2), (16, 2), (16, 3), (32, 2), (58, 3),
+                 (100, 3), (128, 4), (256, 2), (256, 4)]
+    for alpha in (0.5, 7.0, 1e6)
+]
 
 
 class TestBeta:
@@ -173,9 +217,33 @@ class TestDeep:
             k_top = max_k_for_width_bound(d)
             assert max(deep_shape(d, k_top)) <= 40 * d
 
+    @pytest.mark.parametrize("d,k,alpha", DEEP_GRID)
+    def test_assembly_matches_dense_reference(self, d, k, alpha):
+        # uint64 views, so that a -0.0 where the reference has +0.0 fails
+        net = deep_max(d, alpha, k)
+        ref = dense_deep_layers(d, alpha, k)
+        assert len(net.layers) == len(ref) == 2 * k + 1
+        for layer, (w, b) in zip(net.layers, ref):
+            assert layer.weights.shape == w.shape
+            np.testing.assert_array_equal(layer.weights.view(np.uint64), w.view(np.uint64))
+            np.testing.assert_array_equal(layer.biases.view(np.uint64), b.view(np.uint64))
+
     def test_merge_keeps_weight_magnitudes(self):
-        net = deep_max(32, 1e4, 2)
-        assert stats(net).max_abs_weight <= 1e4
+        # every merged weight is +- an inner weight
+        for d, k, alpha in DEEP_GRID:
+            assert stats(deep_max(d, alpha, k)).max_abs_weight == max(alpha, 1.0), (d, k, alpha)
+
+    def test_build_memory_peak(self):
+        # the layers are written in place: no block copies, no dense merge
+        # product and no |W|-sized scan on top of the net itself
+        tracemalloc.start()
+        try:
+            net = deep_max(512, 1e6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(l.weights.nbytes + l.biases.nbytes for l in net.layers)
+        assert peak <= 1.2 * own, peak / own
 
 
 class TestExactTree:

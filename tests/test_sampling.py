@@ -16,7 +16,6 @@ from maxnet import (
     evaluate_batch,
     exact_max_tree,
     is_delta_separated,
-    max_oracle,
     mc_l2_error,
     row_max,
     sample_separated,
@@ -147,17 +146,6 @@ class TestRowMax:
         for shape in [(3, 0), (0, 0)]:
             with pytest.raises(ValueError):
                 row_max(np.empty(shape))
-
-
-class TestMaxOracle:
-    def test_values(self):
-        assert max_oracle([0.2, 0.7, 0.7]) == 0.7
-        assert max_oracle([-1.0]) == -1.0
-        assert max_oracle([3, 1, 2]) == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            max_oracle([])
 
 
 class TestSeparation:
