@@ -9,6 +9,7 @@ across all layers.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -197,33 +198,78 @@ def stats(net: FeedForwardNet) -> NetStats:
     return NetStats(depth=depth, width=width, size=size, max_abs_weight=max_abs)
 
 
+def _json_array(a: np.ndarray, pad: str) -> str:
+    """A 1-D or 2-D float64 array laid out as ``json.dumps(..., indent=1)``
+    lays out ``a.tolist()`` where its closing bracket is indented by ``pad``.
+
+    json writes every finite float with ``float.__repr__``; ``AffineLayer``
+    admits no other values, so json's NaN and Infinity cases never arise.
+    """
+    if not len(a):
+        return "[]"
+    inner = pad + " "
+    if a.ndim == 1:
+        items = map(float.__repr__, a.tolist())
+    else:
+        items = (_json_array(row, inner) for row in a)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def serialize(net: FeedForwardNet) -> str:
     """Serialize to a self-describing JSON document.
+
+    The text is byte for byte what ``json.dumps(doc, indent=1)`` writes for
+    the whole document, but only the scalar header goes through json, which
+    also escapes ``metadata``. With ``indent`` set, json falls back to its
+    pure-Python encoder and walks every weight one value at a time, so the
+    weight and bias arrays are written by :func:`_json_array`, which hands
+    each row to ``float.__repr__`` and ``str.join`` in one call.
 
     Floats are emitted with Python's shortest round-trip repr, so
     deserialize(serialize(net)) reproduces weights bit-exactly.
     """
-    doc = {
-        "format": FORMAT_TAG,
-        "input_dim": net.input_dim,
-        "activation": net.activation,
-        "metadata": net.metadata,
-        "layers": [
-            {
-                "weights": layer.weights.tolist(),
-                "biases": layer.biases.tolist(),
-                "apply_activation": layer.apply_activation,
-            }
-            for layer in net.layers
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    head = json.dumps(
+        {
+            "format": FORMAT_TAG,
+            "input_dim": net.input_dim,
+            "activation": net.activation,
+            "metadata": net.metadata,
+        },
+        indent=1,
+    )
+    parts = [head[: -len("\n}")], ',\n "layers": [']
+    for layer in net.layers:
+        parts += [
+            '\n  {\n   "weights": ', _json_array(layer.weights, "   "),
+            ',\n   "biases": ', _json_array(layer.biases, "   "),
+            ',\n   "apply_activation": ', json.dumps(layer.apply_activation),
+            "\n  },",
+        ]
+    parts[-1] = "\n  }"  # no comma after the last layer
+    parts.append("\n ]\n}")
+    return "".join(parts)
 
 
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ParseError(f"missing field {key!r}", where)
     return doc[key]
+
+
+def _require_numbers(entry: dict, key: str, where: str, rows: bool):
+    """The field ``key`` of a layer entry, if it is a list of JSON numbers
+    or, with ``rows``, a list of such lists. Element types are compared
+    exactly: ``true`` would pass ``isinstance(x, int)``, and numpy would
+    read it, or a string like ``"1e3"``, as a number."""
+    value = _require(entry, key, where)
+    elements = value if type(value) is list else None
+    if rows and elements is not None:
+        nested = set(map(type, value)) <= {list}
+        elements = itertools.chain.from_iterable(value) if nested else None
+    if elements is None or not set(map(type, elements)) <= {float, int}:
+        kind = "a list of lists of numbers" if rows else "a list of numbers"
+        raise ParseError(f"{key!r} must be {kind}", f"{where}.{key}")
+    return value
 
 
 def deserialize(text: str) -> FeedForwardNet:
@@ -253,8 +299,8 @@ def deserialize(text: str) -> FeedForwardNet:
         where = f"layers[{idx}]"
         if not isinstance(entry, dict):
             raise ParseError("layer entry must be an object", where)
-        weights = _require(entry, "weights", where)
-        biases = _require(entry, "biases", where)
+        weights = _require_numbers(entry, "weights", where, rows=True)
+        biases = _require_numbers(entry, "biases", where, rows=False)
         apply_activation = _require(entry, "apply_activation", where)
         if not isinstance(apply_activation, bool):
             raise ParseError(
@@ -267,14 +313,17 @@ def deserialize(text: str) -> FeedForwardNet:
                 biases=np.asarray(biases, dtype=np.float64),
                 apply_activation=apply_activation,
             )
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid layer at {where}: {exc}") from exc
         layers.append(layer)
+    metadata = doc.get("metadata", "")
+    if not isinstance(metadata, str):
+        raise ParseError(f"'metadata' must be a string, got {metadata!r}", "metadata")
     return FeedForwardNet(
         input_dim=input_dim,
         layers=tuple(layers),
         activation=str(_require(doc, "activation", "root")),
-        metadata=str(doc.get("metadata", "")),
+        metadata=metadata,
     )
 
 
