@@ -150,6 +150,21 @@ class TestError:
         )
         assert code == 2 and "format" in err
 
+    def test_string_weight_exits_2(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
+        doc = json.loads(net_file.read_text())
+        doc["layers"][0]["weights"][0][0] = "1e3"
+        net_file.write_text(json.dumps(doc))
+        csv = tmp_path / "x.csv"
+        code, _, err = run(
+            ["error", "--net", str(net_file), "--d", "2", "--n", "100",
+             "--seed", "1", "--out", str(csv)],
+            capsys,
+        )
+        assert code == 2 and "layers[0].weights" in err
+        assert not csv.exists()
+
     def test_missing_net_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(
             ["error", "--net", str(tmp_path / "nope.json"), "--d", "2",

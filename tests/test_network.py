@@ -1,13 +1,15 @@
 """Network evaluation, stats, and serialization round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maxnet import (
     AffineLayer,
+    DistributionSpec,
     FeedForwardNet,
     NumericOverflowError,
     ParseError,
@@ -18,9 +20,13 @@ from maxnet import (
     depth3_max,
     deep_max,
     deep_shape,
+    rescale_to_box,
     serialize,
     stats,
+    train,
+    TrainConfig,
 )
+from maxnet.network import FORMAT_TAG
 
 
 def single_relu_neuron() -> FeedForwardNet:
@@ -199,6 +205,120 @@ class TestValidation:
             AffineLayer(np.array([[np.inf]]), np.zeros(1))
 
 
+def reference_serialize(net: FeedForwardNet) -> str:
+    """The document as json's own encoder writes it: the layout serialize
+    must reproduce byte for byte."""
+    doc = {
+        "format": FORMAT_TAG,
+        "input_dim": net.input_dim,
+        "activation": net.activation,
+        "metadata": net.metadata,
+        "layers": [
+            {
+                "weights": layer.weights.tolist(),
+                "biases": layer.biases.tolist(),
+                "apply_activation": layer.apply_activation,
+            }
+            for layer in net.layers
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+def assert_serialize_matches_reference(net: FeedForwardNet) -> None:
+    text = serialize(net)
+    assert text == reference_serialize(net)
+    clone = deserialize(text)
+    assert clone.metadata == net.metadata
+    for a, b in zip(net.layers, clone.layers, strict=True):
+        assert a.weights.shape == b.weights.shape
+        assert np.array_equal(a.weights.view(np.uint64), b.weights.view(np.uint64))
+        assert np.array_equal(a.biases.view(np.uint64), b.biases.view(np.uint64))
+        assert a.apply_activation == b.apply_activation
+
+
+# floats whose repr is easy to get wrong: signed zero, the smallest
+# subnormal and normal, a non-dyadic decimal, the switch to exponent
+# notation, and the largest magnitudes
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1e16, -1e16,
+    1e-5, 123456789.0, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+EDGE_TEXT = ['', 'a "quoted" name', "back\\slash", "two\nlines\ttab", "\u00e9\u03b1\u2211 \U0001f600", "\x00\x1f"]
+
+
+@st.composite
+def small_nets(draw):
+    d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 3), max_size=2))
+    values = st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    dims = [d, *widths, 1]
+    layers = []
+    for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
+        w = draw(st.lists(values, min_size=n_in * n_out, max_size=n_in * n_out))
+        b = draw(st.lists(values, min_size=n_out, max_size=n_out))
+        layers.append(
+            AffineLayer(np.reshape(w, (n_out, n_in)), np.array(b),
+                        apply_activation=i < len(widths))
+        )
+    metadata = draw(st.one_of(st.sampled_from(EDGE_TEXT), st.text()))
+    return FeedForwardNet(input_dim=d, layers=tuple(layers), metadata=metadata)
+
+
+class TestSerializeBytes:
+    """serialize writes exactly what json.dumps(doc, indent=1) would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=small_nets())
+    def test_random_nets_match_json(self, net):
+        assert_serialize_matches_reference(net)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(lambda d=d: depth3_max(d, 7.0) for d in (2, 3, 8)),
+            lambda: depth3_max(5, 0.5),
+            *(lambda d=d: exact_max_tree(d) for d in (2, 7, 9)),
+            lambda: deep_max(16, 1e6, 2),
+            lambda: deep_max(12, 0.5, 3),
+            lambda: rescale_to_box(depth3_max(3, 100.0), -0.1, 3.3),
+            lambda: rescale_to_box(exact_max_tree(1), 2.5, 0.7),
+        ],
+        ids=[
+            "depth3-2", "depth3-3", "depth3-8", "depth3-5-alpha0.5",
+            "tree-2", "tree-7", "tree-9",
+            "deep-16-2", "deep-12-3", "rescaled-depth3", "rescaled-tree-1",
+        ],
+    )
+    def test_constructions_match_json(self, make):
+        assert_serialize_matches_reference(make())
+
+    def test_single_layer_net(self):
+        net = exact_max_tree(1)
+        assert len(net.layers) == 1
+        assert_serialize_matches_reference(net)
+
+    def test_trained_net_with_json_metadata(self):
+        dist = DistributionSpec.uniform_box(3, seed=0)
+        net = train(TrainConfig(d=3, arch=(4, 2), dist=dist, steps=20, seed=1)).net
+        assert json.loads(net.metadata)["trained"] == "sgd"
+        assert_serialize_matches_reference(net)
+
+    def test_peak_memory_is_a_few_times_the_text(self):
+        # json's indent encoder held about 10.7 times the text at its peak
+        net = deep_max(64, 1e6, 2)
+        tracemalloc.start()
+        try:
+            text = serialize(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), peak / len(text)
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact_evaluation(self):
         net = depth3_max(3, 100.0)
@@ -258,6 +378,61 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             deserialize(json.dumps(doc))
         assert exc.value.location == "layers[1]"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weights", "1e3"),
+            ("weights", True),
+            ("weights", None),
+            ("weights", [0.5]),
+            ("biases", True),
+            ("biases", "0"),
+            ("biases", [0.0]),
+        ],
+    )
+    def test_non_number_parameter_is_parse_error(self, field, value):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        entry = doc["layers"][1]
+        if field == "weights":
+            entry["weights"][0][-1] = value
+        else:
+            entry["biases"][0] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == f"layers[1].{field}"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weights", 1.0), ("weights", [1.0, 2.0]), ("weights", {}), ("biases", 0.0)],
+    )
+    def test_parameter_of_wrong_nesting_is_parse_error(self, field, value):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        doc["layers"][0][field] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == f"layers[0].{field}"
+
+    def test_integer_parameters_are_accepted(self):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        doc["layers"][0]["biases"] = [0] * len(doc["layers"][0]["biases"])
+        net = deserialize(json.dumps(doc))
+        assert net.layers[0].biases.dtype == np.float64
+        assert not net.layers[0].biases.any()
+
+    def test_oversized_integer_is_validation_error(self):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        doc["layers"][0]["weights"][0][0] = 10**400
+        with pytest.raises(ValueError, match=r"layers\[0\]"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [5, None, True, ["x"]])
+    def test_non_string_metadata_is_parse_error(self, value):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        doc["metadata"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "metadata"
 
     def test_mismatched_widths_is_validation_error(self):
         net = depth3_max(2, 10.0)
