@@ -26,12 +26,13 @@ Three families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .network import AffineLayer, FeedForwardNet
+from .network import AffineLayer, FeedForwardNet, matrix_from_triplets
 
 
 def beta(k: int) -> Fraction:
@@ -114,46 +115,90 @@ def max_k_for_width_bound(d: int) -> int:
     return math.ceil(math.log2(math.log2(d) + 1))
 
 
-def _fill_depth3(w1: np.ndarray, w2: np.ndarray, alpha: float) -> None:
-    """Write the two hidden weight blocks of the depth-3 maximum of d inputs
-    into zeroed views w1 (d(d+1) x d) and w2 (2d x d(d+1))."""
-    d = w1.shape[1]
-    for i in range(d):
-        row = i * (d + 1)
-        w1[row, i] = 1.0  # relu(x_i)
-        w1[row + 1, i] = -1.0  # relu(-x_i)
-        # shared sum: relu(alpha x_j - alpha x_i), j != i, computed once per i
-        offset = row + 2
-        for j in range(d):
-            if j == i:
-                continue
-            w1[offset, j] = alpha
-            w1[offset, i] = -alpha
-            offset += 1
-        w2[2 * i, row] = 1.0
-        w2[2 * i + 1, row + 1] = 1.0
-        w2[2 * i, row + 2 : row + d + 1] = -1.0
-        w2[2 * i + 1, row + 2 : row + d + 1] = -1.0
+def _depth3_block(s: int, alpha: float):
+    """Triplets (rows, cols, values) of the two hidden weight blocks of the
+    depth-3 maximum of s inputs, each in row-major order: the first block
+    is s(s+1) x s, the second 2s x s(s+1)."""
+    i = np.arange(s)[:, None]
+    t = np.arange(s - 1)[None, :]
+    j = t + (t >= i)  # the other input of penalty t of coordinate i
+    base = i * (s + 1)  # first unit of coordinate i
+
+    def pair(lo, hi):  # (s, s-1) entries of the penalty units, two per unit
+        return np.stack([lo, hi], axis=2).reshape(s, -1)
+
+    # units base, base + 1: relu(x_i), relu(-x_i); unit base + 2 + t: the
+    # shared penalty relu(alpha x_j - alpha x_i), its two entries by column
+    rows1 = np.hstack([base, base + 1, np.repeat(base + 2 + t, 2, axis=1)])
+    cols1 = np.hstack([i, i, pair(np.minimum(i, j), np.maximum(i, j))])
+    vals1 = np.hstack([
+        np.full((s, 1), 1.0), np.full((s, 1), -1.0),
+        pair(np.where(j < i, alpha, -alpha), np.where(j < i, -alpha, alpha)),
+    ])
+    # units 2i, 2i + 1 clip relu(+-x_i) by the penalties of coordinate i
+    half = np.arange(2)[None, :, None]
+    base, t = base[:, :, None], t.reshape(1, 1, -1)
+    rows2 = np.broadcast_to(2 * i[:, :, None] + half, (s, 2, s))
+    cols2 = np.concatenate([base + half, np.broadcast_to(base + 2 + t, (s, 2, s - 1))], axis=2)
+    vals2 = np.concatenate([np.ones((s, 2, 1)), np.full((s, 2, s - 1), -1.0)], axis=2)
+    return ((rows1.ravel(), cols1.ravel(), vals1.ravel()),
+            (rows2.ravel(), cols2.ravel(), vals2.ravel()))
 
 
-def _depth3_layers(d: int, alpha: float) -> list[AffineLayer]:
-    """Hidden layers plus output layer of the depth-3 block, d >= 1.
+def _depth3_hidden(sizes: list[int], alpha: float):
+    """The two hidden layers of the depth-3 maxima of consecutive batches
+    of ``sizes`` inputs, as (shape, rows, cols, values) with the batches'
+    blocks on the diagonal, in row-major order."""
+    parts1, parts2 = [], []
+    r = c = 0  # first unit and first input of the next batch
+    for s, run in itertools.groupby(sizes):
+        n, h = len(list(run)), s * (s + 1)
+        b = np.arange(n)[:, None]
+        (rows1, cols1, vals1), (rows2, cols2, vals2) = _depth3_block(s, alpha)
+        parts1.append(((r + h * b + rows1).ravel(), (c + s * b + cols1).ravel(),
+                       np.tile(vals1, n)))
+        parts2.append(((2 * c + 2 * s * b + rows2).ravel(), (r + h * b + cols2).ravel(),
+                       np.tile(vals2, n)))
+        r += n * h
+        c += n * s
+    return [((r, c), *map(np.concatenate, zip(*parts1))),
+            ((2 * c, r), *map(np.concatenate, zip(*parts2)))]
 
-    For d == 1 the formula degenerates to relu(relu(x)) - relu(relu(-x)),
-    an identity pass-through occupying two hidden layers; this is what a
-    size-1 batch of the deep construction becomes.
-    """
-    w1 = np.zeros((d * (d + 1), d))
-    w2 = np.zeros((2 * d, d * (d + 1)))
-    _fill_depth3(w1, w2, alpha)
-    w3 = np.zeros((1, 2 * d))
-    w3[0, ::2] = 1.0
-    w3[0, 1::2] = -1.0
-    return [
-        AffineLayer(w1, np.zeros(d * (d + 1))),
-        AffineLayer(w2, np.zeros(2 * d)),
-        AffineLayer(w3, np.zeros(1), apply_activation=False),
-    ]
+
+def _deep_triplets(d: int, alpha: float, k: int):
+    """Weights of the depth-(2k+1) maximum of d inputs, layer by layer, as
+    (shape, rows, cols, values) in row-major order."""
+    sizes = batch_split(d, k)  # [d] when k == 1
+    hidden = _depth3_hidden(sizes, alpha)
+    if k == 1:
+        # the output sums the clipped relu(x_i) pieces minus the relu(-x_i) ones
+        return hidden + [((1, 2 * d), np.zeros(2 * d, dtype=np.int64), np.arange(2 * d),
+                          np.tile([1.0, -1.0], d))]
+    n = len(sizes)
+    # Batch b's maximum is the +1/-1 alternating sum of its 2 s_b units, so
+    # each nonzero of the inner first layer in column b is repeated once per
+    # unit and negated on odd units; every batch starts at an even unit.
+    inner = _deep_triplets(n, alpha, k - 1)
+    (m, _), rows, cols, vals = inner[0]
+    units = 2 * np.asarray(sizes)
+    reps = units[cols]
+    unit = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    merged_vals = np.repeat(vals, reps)
+    np.negative(merged_vals, out=merged_vals, where=unit % 2 == 1)
+    merged = ((m, 2 * d), np.repeat(rows, reps),
+              np.repeat(np.cumsum(units)[cols] - reps, reps) + unit, merged_vals)
+    return hidden + [merged] + inner[1:]
+
+
+def _deep_layers(d: int, alpha: float, k: int) -> list[AffineLayer]:
+    """The layers of the depth-(2k+1) maximum, each stored by the storage
+    rule straight from its triplets; all biases are zero."""
+    *hidden, out = _deep_triplets(d, alpha, k)
+    layers = [AffineLayer(matrix_from_triplets(*spec), np.zeros(spec[0][0]))
+              for spec in hidden]
+    layers.append(AffineLayer(matrix_from_triplets(*out), np.zeros(1),
+                              apply_activation=False))
+    return layers
 
 
 def depth3_max(d: int, alpha: float) -> FeedForwardNet:
@@ -168,36 +213,9 @@ def depth3_max(d: int, alpha: float) -> FeedForwardNet:
         raise ValueError("alpha must be positive and finite")
     return FeedForwardNet(
         input_dim=d,
-        layers=tuple(_depth3_layers(d, alpha)),
+        layers=tuple(_deep_layers(d, alpha, 1)),
         metadata=f"depth3_max d={d} alpha={alpha!r}",
     )
-
-
-def _deep_layers(d: int, alpha: float, k: int) -> list[AffineLayer]:
-    if k == 1:
-        return _depth3_layers(d, alpha)
-    sizes = batch_split(d, k)
-    h1 = sum(s * (s + 1) for s in sizes)
-    w1 = np.zeros((h1, d))
-    w2 = np.zeros((2 * d, h1))
-    r = c = 0  # each batch's first unit and first input
-    for s in sizes:
-        rows = s * (s + 1)
-        _fill_depth3(w1[r : r + rows, c : c + s], w2[2 * c : 2 * (c + s), r : r + rows],
-                     alpha)
-        r += rows
-        c += s
-    # every batch starts at an even unit, so odd columns are the -1 units;
-    # 0.0 - w keeps zero weights +0.0, as a matrix product would
-    inner = _deep_layers(len(sizes), alpha, k - 1)
-    merged = np.repeat(inner[0].weights, [2 * s for s in sizes], axis=1)
-    np.subtract(0.0, merged[:, 1::2], out=merged[:, 1::2])
-    return [
-        AffineLayer(w1, np.zeros(h1)),
-        AffineLayer(w2, np.zeros(2 * d)),
-        AffineLayer(merged, inner[0].biases),
-        *inner[1:],
-    ]
 
 
 def deep_max(d: int, alpha: float, k: int) -> FeedForwardNet:
@@ -205,8 +223,9 @@ def deep_max(d: int, alpha: float, k: int) -> FeedForwardNet:
 
     k = 1 coincides with depth3_max. For k > 1 the input is split into
     ceil(d^(1-beta(k))) batches whose depth-3 maxima feed the k-1
-    construction. The batches' hidden blocks are written in place into
-    the two block-diagonal layers. Each batch maximum is the +1/-1
+    construction. Every layer is emitted as index/value triplets and
+    stored by the storage rule of :class:`AffineLayer`, so no large layer
+    ever exists as a dense matrix. Each batch maximum is the +1/-1
     alternating sum of its second-layer units, so it is merged into the
     inner first layer by column expansion: column b repeats once per unit
     of batch b, negated on odd units. That leaves exactly 2k hidden layers

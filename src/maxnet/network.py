@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,42 +43,141 @@ class NumericOverflowError(ArithmeticError):
         self.sample = sample
 
 
-@dataclass(frozen=True)
+SPARSE_MIN_WEIGHTS = 2**18
+"""Fewest weights (rows times columns) of a layer stored sparse."""
+SPARSE_MAX_DENSITY = 1 / 16
+"""Largest share of nonzero weights in a layer stored sparse."""
+
+
+def _stored_sparse(shape: tuple[int, int], nnz: int) -> bool:
+    """The storage rule: sparse iff the layer is large and mostly zero."""
+    size = shape[0] * shape[1]
+    return size >= SPARSE_MIN_WEIGHTS and nnz <= SPARSE_MAX_DENSITY * size
+
+
+def _csr(shape, indptr, indices, data):
+    # deferred: importing scipy.sparse costs 0.2 s, which only a layer that
+    # meets the storage rule should pay
+    from scipy import sparse
+
+    m = sparse.csr_array((data, indices, indptr), shape=shape)
+    for a in (m.data, m.indices, m.indptr):
+        a.setflags(write=False)
+    return m
+
+
+def matrix_from_triplets(shape: tuple[int, int], rows, cols, values):
+    """The matrix of ``shape`` with ``values`` at (``rows``, ``cols``) and
+    zeros elsewhere, stored as :class:`AffineLayer` stores it.
+
+    The entries must come in row-major order, with no position twice and
+    no value whose bits are zero; that makes them the canonical CSR
+    entries, so no dense matrix is built for a layer stored sparse.
+    """
+    if _stored_sparse(shape, len(values)):
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return _csr(shape, indptr, np.asarray(cols, dtype=np.int64), values)
+    w = np.zeros(shape)
+    w[rows, cols] = values
+    w.setflags(write=False)
+    return w
+
+
+def _csr_rows(m) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _dense(m) -> np.ndarray:
+    """A CSR matrix as a read-only dense array. Entries are assigned, not
+    added as ``toarray`` does, so a stored -0.0 stays -0.0."""
+    w = np.zeros(m.shape)
+    w[_csr_rows(m), m.indices] = m.data
+    w.setflags(write=False)
+    return w
+
+
+def _stored(weights):
+    """A weight matrix, dense or scipy sparse, as a layer stores it: a
+    canonical read-only CSR array holding exactly the entries whose bits
+    are nonzero if it meets the storage rule, and a C-contiguous read-only
+    float64 array otherwise."""
+    sparse = sys.modules.get("scipy.sparse")  # unloaded: no sparse input exists
+    if sparse is not None and sparse.issparse(weights):
+        m = sparse.csr_array(weights, dtype=np.float64)
+        if not m.has_canonical_format:
+            m = m.copy()
+            m.sum_duplicates()
+        keep = m.data.view(np.uint64) != 0  # drops +0.0 only
+        if keep.all() and _stored_sparse(m.shape, m.nnz):
+            return _csr(m.shape, m.indptr, m.indices, m.data)
+        return matrix_from_triplets(m.shape, _csr_rows(m)[keep], m.indices[keep],
+                                    m.data[keep])
+    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    if w.ndim != 2:
+        raise ValueError(f"weights must be a matrix, got ndim={w.ndim}")
+    w = np.ascontiguousarray(w)
+    if w.size >= SPARSE_MIN_WEIGHTS:
+        bits = w.view(np.uint64)
+        if _stored_sparse(w.shape, np.count_nonzero(bits)):
+            rows, cols = np.nonzero(bits)
+            return matrix_from_triplets(w.shape, rows, cols, w[rows, cols])
+    w.setflags(write=False)
+    return w
+
+
+def _values(matrix) -> np.ndarray:
+    """The stored values of a layer's matrix: all of a dense one, the
+    nonzero entries of a sparse one."""
+    return matrix if isinstance(matrix, np.ndarray) else matrix.data
+
+
+@dataclass(frozen=True, init=False)
 class AffineLayer:
     """One affine map ``z = W x + b``, optionally followed by the activation.
 
-    ``weights`` has shape (out_width, in_width); ``biases`` has shape
-    (out_width,). ``apply_activation`` is False only for the final layer.
+    W has shape (out_width, in_width) and ``biases`` shape (out_width,).
+    ``apply_activation`` is False only for the final layer. One fixed rule
+    decides how W is stored in ``matrix``: a layer with at least
+    ``SPARSE_MIN_WEIGHTS`` weights, at most ``SPARSE_MAX_DENSITY`` of them
+    nonzero, holds a canonical ``scipy.sparse.csr_array`` (sorted indices,
+    no duplicates, exactly the entries whose bits are nonzero, so -0.0 is
+    kept); every other layer holds a dense float64 ndarray. The rule is
+    applied to whatever W is given, dense or sparse. ``weights`` is W as a
+    read-only dense array; for a sparse layer it is built on each access.
     """
 
-    weights: np.ndarray
+    matrix: object
     biases: np.ndarray
     apply_activation: bool = True
 
-    def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.weights, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(self.biases, dtype=np.float64))
-        if w.ndim != 2:
-            raise ValueError(f"weights must be a matrix, got ndim={w.ndim}")
-        if b.shape != (w.shape[0],):
+    def __init__(self, weights, biases, apply_activation: bool = True):
+        m = _stored(weights)
+        b = np.atleast_1d(np.asarray(biases, dtype=np.float64))
+        if b.shape != (m.shape[0],):
             raise ValueError(
-                f"bias shape {b.shape} does not match {w.shape[0]} output rows"
+                f"bias shape {b.shape} does not match {m.shape[0]} output rows"
             )
-        if not (_all_finite(w) and _all_finite(b)):
+        if not (_all_finite(_values(m)) and _all_finite(b)):
             raise ValueError("layer parameters must be finite")
-        w = np.ascontiguousarray(w)
-        w.setflags(write=False)
         b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "biases", b)
+        object.__setattr__(self, "apply_activation", apply_activation)
+
+    @property
+    def weights(self) -> np.ndarray:
+        m = self.matrix
+        return m if isinstance(m, np.ndarray) else _dense(m)
 
     @property
     def out_width(self) -> int:
-        return self.weights.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def in_width(self) -> int:
-        return self.weights.shape[1]
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -153,7 +253,8 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of inputs, shape (n, input_dim) -> (n,).
 
     Each layer's bias and ReLU are applied in place to its fresh product,
-    so the caller's X is never written.
+    so the caller's X is never written. A sparse layer multiplies through
+    scipy, which returns an ndarray, so the loop is the same for both.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -164,7 +265,7 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be finite")
     h = X
     for layer in net.layers:
-        h = h @ layer.weights.T
+        h = h @ layer.matrix.T
         h += layer.biases
         if layer.apply_activation:
             np.maximum(h, 0.0, out=h)
@@ -192,7 +293,7 @@ def stats(net: FeedForwardNet) -> NetStats:
     size = sum(layer.out_width for layer in net.layers)
     max_abs = 0.0
     for layer in net.layers:
-        for p in (layer.weights, layer.biases):
+        for p in (_values(layer.matrix), layer.biases):
             # max |p| without an |p|-sized temporary
             max_abs = max(max_abs, float(p.max(initial=0.0)), float(-p.min(initial=0.0)))
     return NetStats(depth=depth, width=width, size=size, max_abs_weight=max_abs)
@@ -319,10 +420,13 @@ def deserialize(text: str) -> FeedForwardNet:
     metadata = doc.get("metadata", "")
     if not isinstance(metadata, str):
         raise ParseError(f"'metadata' must be a string, got {metadata!r}", "metadata")
+    activation = _require(doc, "activation", "root")
+    if not isinstance(activation, str):
+        raise ParseError(f"'activation' must be a string, got {activation!r}", "activation")
     return FeedForwardNet(
         input_dim=input_dim,
         layers=tuple(layers),
-        activation=str(_require(doc, "activation", "root")),
+        activation=activation,
         metadata=metadata,
     )
 

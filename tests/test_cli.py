@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV shapes, manifests, byte-identical reruns."""
 
+import hashlib
 import json
 import math
 
@@ -29,7 +30,76 @@ def figure_net(path):
     return net
 
 
+# sha256 of `maxnet construct` outputs, fixed when the net files were
+# written from dense matrices; deep at d = 256 and 512 and depth3 at d = 64
+# now hold sparse layers, and their files must not change
+CONSTRUCT_SHA256 = [
+    (['depth3', '--d', '2', '--alpha', '0.5'],
+     "65a63e4719f2f9858c4b59575cad9ed8c2edee07430159b605ed2998f4a4d076"),
+    (['depth3', '--d', '8', '--alpha', '0.5'],
+     "5e42b90d53d307f596128db62f2e172b822a80f9da92a432c6107bee23faa028"),
+    (['depth3', '--d', '32', '--alpha', '0.5'],
+     "9a28dd86e0ab9df42c8bcffdc245c7c627696518aa9d4b5d9279a70d294674bc"),
+    (['depth3', '--d', '64', '--alpha', '0.5'],
+     "b45d5d13ecc3ddb1b12a01a1cf7a7daed35a2db214b4779c01ae06f8aeb57056"),
+    (['deep', '--d', '16', '--k', '2', '--alpha', '0.5'],
+     "b1fc96d12a34bae079dee6203fd947c58bb17d5312dd292e5e3de47fddb8e0d2"),
+    (['deep', '--d', '58', '--k', '3', '--alpha', '0.5'],
+     "9d146e0ca13370aaf2cd170e47b874ce1de50faec2cabc959c17e7e7c7377383"),
+    (['deep', '--d', '256', '--k', '2', '--alpha', '0.5'],
+     "52380ac83903b949cc10dd2a5d8a7673a8b90c65fa8dc1a34ca59659b43d419e"),
+    (['deep', '--d', '512', '--k', '3', '--alpha', '0.5'],
+     "bef4df25e245d318dda1a406b0aaf51e0a4acf7a63ebbc838a87581b1c1240c2"),
+    (['depth3', '--d', '2', '--alpha', '7'],
+     "bf441fe0128dd3b1320faac3289807695e38fcb32c1fab27704117e0b22b223f"),
+    (['depth3', '--d', '8', '--alpha', '7'],
+     "96e0f0d6fc826605ffde15e8b75d08a4bb9ec08dcb1268a733a00bfbfccf92c5"),
+    (['depth3', '--d', '32', '--alpha', '7'],
+     "ec2d1126c1958dbee4e4e41cd0da391a0e82ed6f82f5ab313ed4fa549dc18ac0"),
+    (['depth3', '--d', '64', '--alpha', '7'],
+     "e3960ba2c73b809f8e91fe9fb8cfdfc1c9c9cb26442850ec17956003105201c2"),
+    (['deep', '--d', '16', '--k', '2', '--alpha', '7'],
+     "7f3813f518c54a588133387fae5390fbd82481bf2614bb555f0600760e491160"),
+    (['deep', '--d', '58', '--k', '3', '--alpha', '7'],
+     "c39252a5e47479d60d292a43029e3d57941cdba160467f1317b0c88e29561c00"),
+    (['deep', '--d', '256', '--k', '2', '--alpha', '7'],
+     "fbe84fdba1c7368a67cdf584286a56c0529c154bb0408e71d4c207bddb287517"),
+    (['deep', '--d', '512', '--k', '3', '--alpha', '7'],
+     "72e7ddcb2c3403314ed306da0ff99e0ec54f4e9e05f441fea25777ac552b81ff"),
+    (['depth3', '--d', '2', '--alpha', '1e6'],
+     "0b12ad4efe254ae6d3988ee1cf77d97c7416ab06ff5c90dcb798bc4bf0cca56a"),
+    (['depth3', '--d', '8', '--alpha', '1e6'],
+     "4fd45cf7bdd97eb52c90db5b5a1f37b1280a6097e1b5910d64df4bc02455c9ed"),
+    (['depth3', '--d', '32', '--alpha', '1e6'],
+     "9d70aa01b7751f02cc1d40e192125a7e36ed0a2cde0380a5ee034dc053340c2f"),
+    (['depth3', '--d', '64', '--alpha', '1e6'],
+     "f680e3748bda0298e3532d5a6bbec2a1da3e766fc83f5ab64d9647c693ad8d1a"),
+    (['deep', '--d', '16', '--k', '2', '--alpha', '1e6'],
+     "b571273e08e33fc17d3bf0e652202bd6cb9b5ad16d8b3ffa94882c46f13aa85f"),
+    (['deep', '--d', '58', '--k', '3', '--alpha', '1e6'],
+     "9400e83be47e8758813e3094ceee86bffef5183f30f086b60e979716c2dc9415"),
+    (['deep', '--d', '256', '--k', '2', '--alpha', '1e6'],
+     "33a65215b3d128321d9e75c29d3415efd58bfb0281afe2d269eadc540b338198"),
+    (['deep', '--d', '512', '--k', '3', '--alpha', '1e6'],
+     "440e422e031cc06caf257b6932e5cc52e1c107e347aa3c6cfe108f0c7e26b2e8"),
+    (['exact-tree', '--d', '1'],
+     "f79dd78d727ea35621215394c6c3ac511f92d91142ff81f12b61fd623f0e8b8d"),
+    (['exact-tree', '--d', '7'],
+     "2c15715e3c543bbc717a6f4843f46c005fbb8f0954323818c55a355d55eeb61b"),
+    (['exact-tree', '--d', '64'],
+     "c98f0396ebf9990b7f80fca7d629a4de1ef7c86657a69a7b89589e80928e3f0f"),
+]
+
+
 class TestConstruct:
+    @pytest.mark.parametrize("argv,digest", CONSTRUCT_SHA256,
+                             ids=[" ".join(a) for a, _ in CONSTRUCT_SHA256])
+    def test_output_bytes_unchanged(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "net.json"
+        code, _, _ = run(["construct", *argv, "--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_depth3_stats_line(self, tmp_path, capsys):
         out = tmp_path / "net.json"
         code, stdout, _ = run(
@@ -125,6 +195,20 @@ class TestError:
             capsys,
         )
         assert code == 2 and "softplus" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_string_activation_exits_2(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
+        doc = json.loads(net_file.read_text())
+        doc["activation"] = 5
+        net_file.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["error", "--net", str(net_file), "--d", "2", "--n", "100",
+             "--seed", "1", "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 2 and "(at activation)" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 The independent oracle for the depth-3 family is a direct scalar
 transcription of the defining formula (sums of clipped terms), kept apart
-from the layered matrix path it validates. The recursion's in-place
-assembly is checked bit for bit against a dense reference that builds
-block-diagonal layers and merges batch maxima by a matrix product.
+from the layered matrix path it validates. The recursion's triplet
+assembly is checked bit for bit against a dense reference that writes each
+depth-3 block into a zeroed matrix, builds block-diagonal layers and merges
+batch maxima by a matrix product.
 """
 
 import math
@@ -33,7 +34,7 @@ from maxnet import (
     stats,
     DistributionSpec,
 )
-from maxnet.constructions import _depth3_layers
+from maxnet.network import SPARSE_MIN_WEIGHTS, AffineLayer, deserialize, serialize
 
 
 def relu(t: float) -> float:
@@ -61,17 +62,40 @@ def block_diag(blocks):
     return out
 
 
+def dense_depth3(d: int, alpha: float):
+    """Reference weight matrices of the depth-3 maximum of d inputs,
+    written entry by entry into zeroed dense matrices."""
+    w1 = np.zeros((d * (d + 1), d))
+    w2 = np.zeros((2 * d, d * (d + 1)))
+    for i in range(d):
+        row = i * (d + 1)
+        w1[row, i] = 1.0
+        w1[row + 1, i] = -1.0
+        offset = row + 2
+        for j in range(d):
+            if j != i:
+                w1[offset, j] = alpha
+                w1[offset, i] = -alpha
+                offset += 1
+        w2[2 * i, row] = w2[2 * i + 1, row + 1] = 1.0
+        w2[2 * i : 2 * i + 2, row + 2 : row + d + 1] = -1.0
+    w3 = np.zeros((1, 2 * d))
+    w3[0, ::2] = 1.0
+    w3[0, 1::2] = -1.0
+    return w1, w2, w3
+
+
 def dense_deep_layers(d: int, alpha: float, k: int):
     """Reference assembly of deep_max as (weights, biases) pairs: dense
     block-diagonal layers, and batch maxima merged into the inner first
     layer by a matrix product."""
     if k == 1:
-        return [(l.weights, l.biases) for l in _depth3_layers(d, alpha)]
+        return [(w, np.zeros(w.shape[0])) for w in dense_depth3(d, alpha)]
     sizes = batch_split(d, k)
-    blocks = [_depth3_layers(s, alpha) for s in sizes]
-    w1 = block_diag([b[0].weights for b in blocks])
-    w2 = block_diag([b[1].weights for b in blocks])
-    out_rows = block_diag([b[2].weights for b in blocks])  # batch maxima
+    blocks = [dense_depth3(s, alpha) for s in sizes]
+    w1 = block_diag([b[0] for b in blocks])
+    w2 = block_diag([b[1] for b in blocks])
+    out_rows = block_diag([b[2] for b in blocks])  # batch maxima
     inner = dense_deep_layers(len(sizes), alpha, k - 1)
     return [
         (w1, np.zeros(w1.shape[0])),
@@ -89,6 +113,28 @@ DEEP_GRID = [
                  (100, 3), (128, 4), (256, 2), (256, 4)]
     for alpha in (0.5, 7.0, 1e6)
 ]
+
+# settings whose large layers are stored sparse
+SPARSE_GRID = [(d, k, alpha) for d, k in [(256, 2), (512, 3), (1024, 2)]
+               for alpha in (0.5, 7.0, 1e6)]
+
+
+def csr_parts(layer):
+    m = layer.matrix
+    return m.indptr, m.indices, m.data.view(np.uint64)
+
+
+def separated_rows(rng, n: int, d: int, delta: float, spread: float = 1e3):
+    """Rows in [1/spread, 1) whose sorted neighbours differ by a factor of
+    at least (1 + 3 delta), in shuffled order: geometric spacing reaches
+    dimensions where rejection sampling cannot."""
+    step = math.log1p(3.0 * delta)
+    free = math.log(spread) - d * step
+    w = rng.exponential(size=(n, d))
+    w *= free / w.sum(axis=1, keepdims=True)
+    logs = -np.cumsum(step + w, axis=1)
+    order = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+    return np.exp(np.take_along_axis(logs, order, axis=1))
 
 
 class TestBeta:
@@ -232,6 +278,71 @@ class TestDeep:
         # every merged weight is +- an inner weight
         for d, k, alpha in DEEP_GRID:
             assert stats(deep_max(d, alpha, k)).max_abs_weight == max(alpha, 1.0), (d, k, alpha)
+
+    @pytest.mark.parametrize("d,k,alpha", SPARSE_GRID)
+    def test_sparse_view_matches_dense_reference(self, d, k, alpha):
+        net = deep_max(d, alpha, k)
+        ref = dense_deep_layers(d, alpha, k)
+        assert not isinstance(net.layers[0].matrix, np.ndarray)
+        for layer, (w, b) in zip(net.layers, ref):
+            view = layer.weights
+            assert not view.flags.writeable
+            np.testing.assert_array_equal(view.view(np.uint64), w.view(np.uint64))
+            np.testing.assert_array_equal(layer.biases.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("d,k,alpha", SPARSE_GRID)
+    def test_loaded_net_has_the_built_csr(self, d, k, alpha):
+        # deserialize hands AffineLayer the dense parsed matrix; the JSON of
+        # (1024, 2) is 587 MB, so there the layers are rebuilt from .weights
+        net = deep_max(d, alpha, k)
+        if d < 1024:
+            layers = deserialize(serialize(net)).layers
+        else:
+            layers = [AffineLayer(l.weights, l.biases, l.apply_activation) for l in net.layers]
+        for built, loaded in zip(net.layers, layers):
+            assert type(built.matrix) is type(loaded.matrix)
+            if isinstance(built.matrix, np.ndarray):
+                continue
+            for a, b in zip(csr_parts(built), csr_parts(loaded)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_storage_follows_the_rule(self):
+        # (256, 2): the three large layers are sparse, the last two small
+        net = deep_max(256, 1e6, 2)
+        sizes = [l.in_width * l.out_width for l in net.layers]
+        sparse = [not isinstance(l.matrix, np.ndarray) for l in net.layers]
+        assert sparse == [n >= SPARSE_MIN_WEIGHTS for n in sizes] == [True] * 3 + [False] * 2
+        assert all(isinstance(l.matrix, np.ndarray) for l in deep_max(32, 1e4, 2).layers)
+
+    def test_paper_scale(self):
+        # d = 65536 at k = ceil(log2(log2 d + 1)) = 5, where dense weights
+        # would take about 699 GB
+        d, alpha, k = 65536, 1e6, max_k_for_width_bound(65536)
+        assert k == 5
+        tracemalloc.start()
+        try:
+            net = deep_max(d, alpha, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        widths = [l.out_width for l in net.hidden_layers]
+        assert widths == deep_shape(d, k) and max(widths) == 170492
+        assert peak < 2**30, peak
+        X = separated_rows(np.random.default_rng(65536), 16, d, 1.0 / alpha)
+        assert all(is_delta_separated(x, 1.0 / alpha) for x in X)
+        err = np.abs(evaluate_batch(net, X) - X.max(axis=1))
+        assert err.max() <= 1e-9 * alpha, err.max()
+
+    def test_sparse_build_memory(self):
+        # the dense layers of deep_max(1024, 1e6, 2) hold about 470 MB
+        tracemalloc.start()
+        try:
+            deep_max(1024, 1e6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20, peak
 
     def test_build_memory_peak(self):
         # the layers are written in place: no block copies, no dense merge

@@ -1,6 +1,8 @@
 """Network evaluation, stats, and serialization round-trips."""
 
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from maxnet import (
     train,
     TrainConfig,
 )
-from maxnet.network import FORMAT_TAG
+from maxnet.network import FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS
 
 
 def single_relu_neuron() -> FeedForwardNet:
@@ -203,6 +205,112 @@ class TestValidation:
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
             AffineLayer(np.array([[np.inf]]), np.zeros(1))
+
+
+def is_sparse(layer: AffineLayer) -> bool:
+    return not isinstance(layer.matrix, np.ndarray)
+
+
+def scattered(shape, nnz: int, seed: int = 0) -> np.ndarray:
+    """A dense matrix with nnz nonzero entries at random places."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros(shape)
+    w.flat[rng.choice(w.size, nnz, replace=False)] = rng.standard_normal(nnz)
+    return w
+
+
+class TestStorage:
+    """The storage rule: CSR for layers of at least SPARSE_MIN_WEIGHTS
+    weights with at most SPARSE_MAX_DENSITY of them nonzero, dense else."""
+
+    def test_rule_thresholds(self):
+        rows = SPARSE_MIN_WEIGHTS // 64
+        limit = int(SPARSE_MAX_DENSITY * SPARSE_MIN_WEIGHTS)
+        assert is_sparse(AffineLayer(scattered((rows, 64), limit), np.zeros(rows)))
+        assert not is_sparse(AffineLayer(scattered((rows, 64), limit + 1), np.zeros(rows)))
+        assert not is_sparse(AffineLayer(scattered((rows, 63), 10), np.zeros(rows)))
+
+    def test_negative_zero_is_kept(self):
+        w = scattered((1024, 256), 100)
+        w[3, 5] = -0.0
+        layer = AffineLayer(w, np.zeros(1024))
+        assert is_sparse(layer) and layer.matrix.nnz == 101
+        np.testing.assert_array_equal(layer.weights.view(np.uint64), w.view(np.uint64))
+
+    def test_sparse_input_is_made_canonical(self):
+        sp = pytest.importorskip("scipy.sparse")
+        w = scattered((1024, 256), 300, seed=1)
+        rows, cols = np.nonzero(w)
+        # shuffled, plus a duplicate of a nonzero and an explicit +0.0
+        zr, zc = np.argwhere(w == 0)[0]
+        order = np.random.default_rng(2).permutation(len(rows))
+        r = np.concatenate([rows[order], [rows[0], zr]])
+        c = np.concatenate([cols[order], [cols[0], zc]])
+        v = np.concatenate([w[rows, cols][order], [0.0, 0.0]])
+        coo = sp.coo_array((v, (r, c)), shape=w.shape)
+        layer = AffineLayer(coo, np.zeros(1024))
+        ref = AffineLayer(w, np.zeros(1024))
+        for a, b in zip((layer.matrix.indptr, layer.matrix.indices, layer.matrix.data),
+                        (ref.matrix.indptr, ref.matrix.indices, ref.matrix.data)):
+            np.testing.assert_array_equal(a, b)
+        assert layer.matrix.has_canonical_format
+
+    def test_small_sparse_input_is_stored_dense(self):
+        sp = pytest.importorskip("scipy.sparse")
+        w = np.array([[0.0, 2.0], [-0.0, 0.0]])
+        layer = AffineLayer(sp.csr_array(w), np.zeros(2))
+        assert isinstance(layer.matrix, np.ndarray) and not layer.matrix.flags.writeable
+        np.testing.assert_array_equal(layer.weights, [[0.0, 2.0], [0.0, 0.0]])
+
+    def test_weights_is_a_fresh_read_only_view(self):
+        layer = AffineLayer(scattered((1024, 256), 50), np.zeros(1024))
+        a, b = layer.weights, layer.weights
+        assert a is not b and not a.flags.writeable
+        m = layer.matrix
+        assert not (m.data.flags.writeable or m.indices.flags.writeable
+                    or m.indptr.flags.writeable)
+
+    def test_nonfinite_sparse_weights_rejected(self):
+        w = scattered((1024, 256), 50)
+        w[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            AffineLayer(w, np.zeros(1024))
+
+    def test_stats_read_the_stored_values(self):
+        w = 0.0 - np.abs(scattered((1024, 256), 50))  # zeros stay +0.0
+        w[0, 0] = -3.5
+        net = FeedForwardNet(
+            input_dim=256,
+            layers=(AffineLayer(w, np.zeros(1024)),
+                    AffineLayer(np.ones((1, 1024)), np.zeros(1), apply_activation=False)),
+        )
+        assert is_sparse(net.layers[0])
+        assert stats(net).max_abs_weight == 3.5
+
+    def test_sparse_evaluation_matches_dense_products(self):
+        net = deep_max(256, 1e6, 2)
+        assert sum(map(is_sparse, net.layers)) == 3
+        X = np.random.default_rng(3).random((300, 256))
+        h = X
+        for layer in net.layers:
+            h = h @ layer.weights.T + layer.biases
+            if layer.apply_activation:
+                h = np.maximum(h, 0.0)
+        np.testing.assert_allclose(evaluate_batch(net, X), h[:, 0], rtol=1e-12, atol=1e-9)
+
+    def test_small_nets_never_import_scipy_sparse(self):
+        code = (
+            "import sys, numpy as np, maxnet\n"
+            "from maxnet.training import TrainConfig\n"
+            "cfg = TrainConfig(d=4, arch=(3,), dist=maxnet.DistributionSpec.uniform_box(4),\n"
+            "                  lr=0.05, batch=64, steps=20, seed=1)\n"
+            "nets = [maxnet.depth3_max(32, 1e3), maxnet.train(cfg).net,\n"
+            "        maxnet.deep_max(32, 1e4, 2)]\n"
+            "for net in nets:\n"
+            "    maxnet.evaluate_batch(net, np.random.default_rng(0).random((64, net.input_dim)))\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=None)
 
 
 def reference_serialize(net: FeedForwardNet) -> str:
@@ -433,6 +541,14 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             deserialize(json.dumps(doc))
         assert exc.value.location == "metadata"
+
+    @pytest.mark.parametrize("value", [5, None, ["relu"]])
+    def test_non_string_activation_is_parse_error(self, value):
+        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        doc["activation"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "activation"
 
     def test_mismatched_widths_is_validation_error(self):
         net = depth3_max(2, 10.0)
