@@ -78,6 +78,13 @@ def matrix_from_triplets(shape: tuple[int, int], rows, cols, values):
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
         return _csr(shape, indptr, np.asarray(cols, dtype=np.int64), values)
+    return _dense(shape, rows, cols, values)
+
+
+def _dense(shape, rows, cols, values) -> np.ndarray:
+    """A read-only dense matrix with ``values`` at (``rows``, ``cols``).
+    Entries are assigned, not added as scipy's ``toarray`` does, so a
+    stored -0.0 stays -0.0."""
     w = np.zeros(shape)
     w[rows, cols] = values
     w.setflags(write=False)
@@ -87,15 +94,6 @@ def matrix_from_triplets(shape: tuple[int, int], rows, cols, values):
 def _csr_rows(m) -> np.ndarray:
     """The row of each stored entry of a CSR matrix."""
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-
-
-def _dense(m) -> np.ndarray:
-    """A CSR matrix as a read-only dense array. Entries are assigned, not
-    added as ``toarray`` does, so a stored -0.0 stays -0.0."""
-    w = np.zeros(m.shape)
-    w[_csr_rows(m), m.indices] = m.data
-    w.setflags(write=False)
-    return w
 
 
 def _stored(weights):
@@ -168,8 +166,11 @@ class AffineLayer:
 
     @property
     def weights(self) -> np.ndarray:
+        """W as a read-only dense array, built anew for a sparse layer."""
         m = self.matrix
-        return m if isinstance(m, np.ndarray) else _dense(m)
+        if isinstance(m, np.ndarray):
+            return m
+        return _dense(m.shape, _csr_rows(m), m.indices, m.data)
 
     @property
     def out_width(self) -> int:

@@ -238,7 +238,7 @@ class TestStorage:
         np.testing.assert_array_equal(layer.weights.view(np.uint64), w.view(np.uint64))
 
     def test_sparse_input_is_made_canonical(self):
-        sp = pytest.importorskip("scipy.sparse")
+        from scipy import sparse as sp
         w = scattered((1024, 256), 300, seed=1)
         rows, cols = np.nonzero(w)
         # shuffled, plus a duplicate of a nonzero and an explicit +0.0
@@ -256,7 +256,7 @@ class TestStorage:
         assert layer.matrix.has_canonical_format
 
     def test_small_sparse_input_is_stored_dense(self):
-        sp = pytest.importorskip("scipy.sparse")
+        from scipy import sparse as sp
         w = np.array([[0.0, 2.0], [-0.0, 0.0]])
         layer = AffineLayer(sp.csr_array(w), np.zeros(2))
         assert isinstance(layer.matrix, np.ndarray) and not layer.matrix.flags.writeable
