@@ -7,7 +7,11 @@ run one after another and their sums are reduced in shard order.
 The Monte Carlo loop (``sample``, ``row_max``, ``mc_l2_error``) builds each
 result in the array it has just drawn or computed, and ``row_max`` folds
 narrow rows column by column, so a shard costs little beyond its arithmetic
-even when the net is tiny.
+even when the net is tiny. The shard size fixes where the sample stream is
+cut, and with it the bits of every estimate. ``evaluate_batch`` splits a
+shard into cache-sized row tiles of its own when the net narrows after its
+widest layer, as the constructions do, so such a net's widest activation
+is never held for the whole shard.
 """
 
 from __future__ import annotations
@@ -213,7 +217,9 @@ def _shards(
 
 
 def _default_chunk(width_hint: int) -> int:
-    # keep the widest intermediate around 64 MB
+    # 8 Mi values of the widest layer per shard. The chunk fixes where the
+    # sample stream is cut, so every estimate's bits depend on it;
+    # evaluate_batch tiles the rows of a wide net itself.
     return max(256, min(131072, 8_388_608 // max(1, width_hint)))
 
 

@@ -1,9 +1,11 @@
 """Network evaluation, stats, and serialization round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from maxnet import (
     train,
     TrainConfig,
 )
+from maxnet import network
 from maxnet.network import FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS
 
 
@@ -311,6 +314,129 @@ class TestStorage:
             "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=None)
+
+
+def one_pass(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
+    """evaluate_batch without row tiles: every layer over all rows at once.
+    The reference that the tiled evaluation must match bit for bit."""
+    h = X
+    for layer in net.layers:
+        h = h @ layer.matrix.T
+        h += layer.biases
+        if layer.apply_activation:
+            np.maximum(h, 0.0, out=h)
+    return h[:, 0]
+
+
+TILE_NETS = {
+    "depth3_8": lambda: depth3_max(8, 1e3),
+    "depth3_32": lambda: depth3_max(32, 1e3),
+    "depth3_64": lambda: depth3_max(64, 1e3),  # both hidden layers sparse
+    "deep_256_2": lambda: deep_max(256, 1e6, 2),  # CSR products come out F-ordered
+    "exact_tree_7": lambda: exact_max_tree(7),
+    # the last hidden layer is the widest: never tiled
+    "last_widest": lambda: random_net(np.random.default_rng(11), d=5, widths=(300, 700)),
+    # a width-1 hidden layer ends the tiled layers before the output does
+    "width1_hidden": lambda: random_net(np.random.default_rng(12), d=6, widths=(480, 32, 1, 16)),
+}
+
+
+def layouts(X: np.ndarray):
+    """X as a C-ordered, an F-ordered and a row-strided array."""
+    yield "C", X
+    yield "F", np.asfortranarray(X)
+    strided = np.empty((2 * len(X), X.shape[1]))
+    strided[::2] = X
+    yield "strided", strided[::2]
+
+
+class TestRowTiles:
+    """evaluate_batch runs the hidden layers before the first single-output
+    layer over row tiles; the result must equal one pass bit for bit."""
+
+    @pytest.mark.parametrize("name", TILE_NETS)
+    def test_tiles_match_one_pass(self, name):
+        net = TILE_NETS[name]()
+        stop, rows = network._tiling(net)
+        if name == "last_widest":
+            assert (stop, rows) == (0, 0)
+            rows = network.TILE_BYTES // (8 * 700)
+        else:
+            assert stop == (2 if name == "width1_hidden" else len(net.layers) - 1)
+        rng = np.random.default_rng(13)
+        for n in (1, 2, rows - 1, rows, 2 * rows - 1, 2 * rows, 2 * rows + 1, 7 * rows + 3):
+            X = rng.uniform(-0.5, 1.5, size=(n, net.input_dim))
+            for layout, Xl in layouts(X):
+                before = Xl.copy()
+                got = evaluate_batch(net, Xl)
+                expect = one_pass(net, Xl)
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (n, layout)
+                assert np.array_equal(Xl.view(np.uint64), before.view(np.uint64)), (n, layout)
+
+    def test_ragged_widths_on_one_blas_thread(self):
+        # widths that are not a multiple of the gemm kernels' blocks, and
+        # small inputs that put small tiles on the small-matrix kernels: a
+        # tile that ends inside a row block or falls to those kernels
+        # changes bits here. Two BLAS threads would split the rows at
+        # places that depend on the row count, so this runs on one.
+        code = (
+            "import sys, numpy as np\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_network import layouts, one_pass, random_net\n"
+            "from maxnet import evaluate_batch, network\n"
+            "bad = []\n"
+            "for seed, (d, *widths) in enumerate([(4, 330, 4), (3, 612, 193)]):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    net = random_net(rng, d=d, widths=tuple(widths))\n"
+            "    rows = network._tiling(net)[1]\n"
+            "    for n in (2 * rows, 2 * rows + 1, 3 * rows - 1, 7 * rows + 3):\n"
+            "        X = rng.uniform(-0.5, 1.5, size=(n, d))\n"
+            "        for layout, Xl in layouts(X):\n"
+            "            got, expect = evaluate_batch(net, Xl), one_pass(net, Xl)\n"
+            "            if not np.array_equal(got.view(np.uint64), expect.view(np.uint64)):\n"
+            "                bad.append((d, *widths, n, layout))\n"
+            "assert not bad, bad\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_layer_wider_than_the_budget(self, monkeypatch):
+        # a layer wider than TILE_BYTES / 8 values still gets whole tiles
+        monkeypatch.setattr(network, "TILE_BYTES", 8)
+        net = depth3_max(64, 1e3)
+        assert network._tiling(net) == (2, network.TILE_ROW_MULTIPLE)
+        X = np.random.default_rng(16).random((5 * network.TILE_ROW_MULTIPLE + 7, 64))
+        assert np.array_equal(evaluate_batch(net, X).view(np.uint64),
+                              one_pass(net, X).view(np.uint64))
+
+    def test_overflow_in_second_tile_reports_its_row(self):
+        import warnings
+
+        net = depth3_max(32, 1e3)
+        rows = network._tiling(net)[1]
+        X = np.random.default_rng(14).uniform(0, 1, size=(5 * rows, 32))
+        X[rows + 5, 3] = 1e306  # overflows in the first layer: alpha * 1e306
+        X[3 * rows + 1, 7] = 1e306
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericOverflowError) as exc:
+                evaluate_batch(net, X)
+            np.testing.assert_array_equal(exc.value.sample, X[rows + 5])
+            with pytest.raises(NumericOverflowError):
+                evaluate_batch(net, exc.value.sample[None, :])
+
+    def test_wide_layer_memory(self):
+        # one pass holds the 7943 x 1056 first activation, 67.9 MiB; tiles
+        # hold X, the 7943 x 64 buffer and one tile's activations
+        net = depth3_max(32, 1e3)
+        X = np.random.default_rng(15).random((7943, 32))
+        tracemalloc.start()
+        try:
+            evaluate_batch(net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak / 2**20
 
 
 def reference_serialize(net: FeedForwardNet) -> str:
