@@ -177,36 +177,12 @@ def _eliminate_null_vector(W: np.ndarray, tol: float) -> np.ndarray:
     return v
 
 
-def _orthogonal_complement_vector(W: np.ndarray, tol: float) -> np.ndarray:
-    """Fallback: deterministically orthogonalize the standard basis against
-    the row space (modified Gram-Schmidt, applied twice)."""
-    basis: list[np.ndarray] = []
-    for row in W:
-        r = row.astype(np.float64).copy()
-        for _ in range(2):
-            for b in basis:
-                r -= (r @ b) * b
-        norm = np.linalg.norm(r)
-        if norm > tol:
-            basis.append(r / norm)
-    best, best_norm = None, -1.0
-    for i in range(W.shape[1]):
-        u = np.zeros(W.shape[1])
-        u[i] = 1.0
-        for _ in range(2):
-            for b in basis:
-                u -= (u @ b) * b
-        norm = np.linalg.norm(u)
-        if norm > best_norm:
-            best, best_norm = u / norm, norm
-    return best
-
-
 def kernel_direction(W: AffineLayer | np.ndarray) -> KernelDirection:
     """Unit vector annihilated by a first layer with at most d-1 rows.
 
     Rank decisions use the tolerance RANK_TOL * max|W|. The zero matrix
-    canonicalizes to e_1.
+    canonicalizes to e_1. Raises ``ArithmeticError`` if the vector that
+    elimination finds leaves a residual |W v| above 1e-9 * max|W|.
     """
     W = W.weights if isinstance(W, AffineLayer) else np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
@@ -223,7 +199,10 @@ def kernel_direction(W: AffineLayer | np.ndarray) -> KernelDirection:
         v = _eliminate_null_vector(W, tol)
         v = v / np.linalg.norm(v)
         if float(np.abs(W @ v).max()) > 1e-9 * scale:
-            v = _orthogonal_complement_vector(W, tol)
+            raise ArithmeticError(
+                "elimination found no kernel vector of the first layer "
+                f"within 1e-9 * max|W| = {1e-9 * scale!r}"
+            )
     m = int(np.argmax(np.abs(v)))
     sign = 1.0 if v[m] >= 0 else -1.0
     v = sign * v / np.linalg.norm(v)

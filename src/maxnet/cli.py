@@ -331,8 +331,10 @@ def main(argv=None) -> int:
     except (ValueError, ParseError, FileNotFoundError, ArithmeticError) as exc:
         print(f"maxnet: {exc}", file=sys.stderr)
         return INPUT_EXIT
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"maxnet: internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a MemoryError, say, has an empty message: name the type as well
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"maxnet: internal error: {detail}", file=sys.stderr)
         return 1
 
 

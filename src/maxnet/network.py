@@ -18,6 +18,10 @@ from typing import Sequence
 import numpy as np
 
 FORMAT_TAG = "maxnet-ffn/1"
+"""Tag of a network file whose layers all hold dense ``weights`` rows."""
+CSR_FORMAT_TAG = "maxnet-ffn/2"
+"""Tag of a network file in which the layers stored sparse are written as
+CSR arrays (``shape``, ``indptr``, ``indices``, ``values``)."""
 
 
 class ParseError(ValueError):
@@ -381,38 +385,61 @@ def stats(net: FeedForwardNet) -> NetStats:
 
 
 def _json_array(a: np.ndarray, pad: str) -> str:
-    """A 1-D or 2-D float64 array laid out as ``json.dumps(..., indent=1)``
-    lays out ``a.tolist()`` where its closing bracket is indented by ``pad``.
+    """A 1-D or 2-D array of floats or ints laid out as
+    ``json.dumps(..., indent=1)`` lays out ``a.tolist()`` where its closing
+    bracket is indented by ``pad``.
 
-    json writes every finite float with ``float.__repr__``; ``AffineLayer``
-    admits no other values, so json's NaN and Infinity cases never arise.
+    json writes every int with ``int.__repr__`` and every finite float with
+    ``float.__repr__``; ``AffineLayer`` admits no other values, so json's
+    NaN and Infinity cases never arise.
     """
     if not len(a):
         return "[]"
     inner = pad + " "
     if a.ndim == 1:
-        items = map(float.__repr__, a.tolist())
+        items = map(repr, a.tolist())
     else:
         items = (_json_array(row, inner) for row in a)
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
+def _layer_arrays(layer: AffineLayer) -> list[tuple[str, np.ndarray]]:
+    """The fields of a layer's entry that hold arrays, in file order: a
+    dense layer's ``weights`` rows, or the CSR arrays of a sparse one,
+    then ``biases``."""
+    m = layer.matrix
+    if isinstance(m, np.ndarray):
+        fields = [("weights", m)]
+    else:
+        fields = [("shape", np.array(m.shape)), ("indptr", m.indptr),
+                  ("indices", m.indices), ("values", m.data)]
+    return [*fields, ("biases", layer.biases)]
+
+
 def serialize(net: FeedForwardNet) -> str:
     """Serialize to a self-describing JSON document.
+
+    A net whose layers are all dense is written as ``maxnet-ffn/1``, with
+    each layer's ``weights`` rows. A net with a layer stored sparse is
+    written as ``maxnet-ffn/2``: there a sparse layer's entry holds its
+    ``shape`` and the ``indptr``, ``indices`` and ``values`` arrays of its
+    canonical CSR matrix, and a dense layer's entry is as in ``/1``. So the
+    storage rule picks the layout, and no sparse layer is written densely.
 
     The text is byte for byte what ``json.dumps(doc, indent=1)`` writes for
     the whole document, but only the scalar header goes through json, which
     also escapes ``metadata``. With ``indent`` set, json falls back to its
-    pure-Python encoder and walks every weight one value at a time, so the
-    weight and bias arrays are written by :func:`_json_array`, which hands
-    each row to ``float.__repr__`` and ``str.join`` in one call.
+    pure-Python encoder and walks every value one at a time, so the arrays
+    are written by :func:`_json_array`, which hands each row to ``repr``
+    and ``str.join`` in one call.
 
     Floats are emitted with Python's shortest round-trip repr, so
     deserialize(serialize(net)) reproduces weights bit-exactly.
     """
+    dense = all(isinstance(layer.matrix, np.ndarray) for layer in net.layers)
     head = json.dumps(
         {
-            "format": FORMAT_TAG,
+            "format": FORMAT_TAG if dense else CSR_FORMAT_TAG,
             "input_dim": net.input_dim,
             "activation": net.activation,
             "metadata": net.metadata,
@@ -421,12 +448,10 @@ def serialize(net: FeedForwardNet) -> str:
     )
     parts = [head[: -len("\n}")], ',\n "layers": [']
     for layer in net.layers:
-        parts += [
-            '\n  {\n   "weights": ', _json_array(layer.weights, "   "),
-            ',\n   "biases": ', _json_array(layer.biases, "   "),
-            ',\n   "apply_activation": ', json.dumps(layer.apply_activation),
-            "\n  },",
-        ]
+        parts.append("\n  {")
+        for key, a in _layer_arrays(layer):
+            parts += [f'\n   "{key}": ', _json_array(a, "   "), ","]
+        parts += ['\n   "apply_activation": ', json.dumps(layer.apply_activation), "\n  },"]
     parts[-1] = "\n  }"  # no comma after the last layer
     parts.append("\n ]\n}")
     return "".join(parts)
@@ -438,28 +463,88 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _require_numbers(entry: dict, key: str, where: str, rows: bool):
+def _require_numbers(entry: dict, key: str, where: str, rows: bool = False,
+                     types=frozenset({float, int})):
     """The field ``key`` of a layer entry, if it is a list of JSON numbers
-    or, with ``rows``, a list of such lists. Element types are compared
-    exactly: ``true`` would pass ``isinstance(x, int)``, and numpy would
-    read it, or a string like ``"1e3"``, as a number."""
+    of ``types`` or, with ``rows``, a list of such lists. Element types are
+    compared exactly: ``true`` would pass ``isinstance(x, int)``, and numpy
+    would read it, or a string like ``"1e3"``, as a number."""
     value = _require(entry, key, where)
     elements = value if type(value) is list else None
     if rows and elements is not None:
         nested = set(map(type, value)) <= {list}
         elements = itertools.chain.from_iterable(value) if nested else None
-    if elements is None or not set(map(type, elements)) <= {float, int}:
-        kind = "a list of lists of numbers" if rows else "a list of numbers"
+    if elements is None or not set(map(type, elements)) <= types:
+        kind = "numbers" if float in types else "integers"
+        kind = f"a list of lists of {kind}" if rows else f"a list of {kind}"
         raise ParseError(f"{key!r} must be {kind}", f"{where}.{key}")
     return value
 
 
+def _int64(value: list, key: str, where: str, message: str) -> np.ndarray:
+    """A list of ints as an int64 array; one that does not fit breaks the
+    rule that ``message`` states."""
+    try:
+        return np.array(value, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{key!r} {message}", f"{where}.{key}") from None
+
+
+def _csr_fields(entry: dict, where: str):
+    """The shape, indptr, indices and values of the CSR entry of a layer
+    in a ``maxnet-ffn/2`` document, once they are checked to be canonical
+    as :class:`AffineLayer` stores them: indptr runs from 0 to the number
+    of entries without decreasing, the indices of each row lie in range and
+    strictly increase, and every value is finite with nonzero bits (-0.0 is
+    kept, +0.0 is never stored)."""
+    shape = _require(entry, "shape", where)
+    if not (type(shape) is list and len(shape) == 2
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise ParseError("'shape' must be two non-negative integers", f"{where}.shape")
+    n_rows, n_cols = shape
+    indptr = _require_numbers(entry, "indptr", where, types={int})
+    indices = _require_numbers(entry, "indices", where, types={int})
+    values = _require_numbers(entry, "values", where)
+    nnz = len(indices)
+    if len(values) != nnz:
+        raise ParseError(f"'values' must have one entry per index, {nnz}", f"{where}.values")
+    rule = f"must have {n_rows + 1} entries running from 0 to {nnz} without decreasing"
+    if len(indptr) != n_rows + 1:
+        raise ParseError(f"'indptr' {rule}", f"{where}.indptr")
+    indptr = _int64(indptr, "indptr", where, rule)
+    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+        raise ParseError(f"'indptr' {rule}", f"{where}.indptr")
+    rule = f"must lie in [0, {n_cols})"
+    indices = _int64(indices, "indices", where, rule)
+    if nnz and (int(indices.min()) < 0 or int(indices.max()) >= n_cols):
+        raise ParseError(f"'indices' {rule}", f"{where}.indices")
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < nnz)] - 1] = True  # a row may start lower
+    if not rising.all():
+        raise ParseError("'indices' must strictly increase within each row",
+                         f"{where}.indices")
+    try:
+        values = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float64 range
+        values = None
+    if values is None or not _all_finite(values):
+        raise ParseError("'values' must be finite", f"{where}.values")
+    if not values.view(np.uint64).all():
+        raise ParseError("'values' must not hold +0.0, which is never stored",
+                         f"{where}.values")
+    return (n_rows, n_cols), indptr, indices, values
+
+
 def deserialize(text: str) -> FeedForwardNet:
-    """Parse a document produced by :func:`serialize`.
+    """Parse a document produced by :func:`serialize`, of either format.
 
     Raises :class:`ParseError` with a location for malformed documents and
     ``ValueError`` for structurally valid documents that describe an
-    inconsistent network (e.g. mismatched layer widths).
+    inconsistent network (e.g. mismatched layer widths). A CSR entry is
+    built as a CSR array straight from its lists, and every layer goes
+    through :class:`AffineLayer`, so a loaded net holds the arrays of the
+    net that was saved.
     """
     try:
         doc = json.loads(text)
@@ -468,8 +553,10 @@ def deserialize(text: str) -> FeedForwardNet:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object", "root")
     tag = _require(doc, "format", "root")
-    if tag != FORMAT_TAG:
-        raise ParseError(f"unknown format {tag!r}, expected {FORMAT_TAG!r}", "format")
+    if tag not in (FORMAT_TAG, CSR_FORMAT_TAG):
+        raise ParseError(
+            f"unknown format {tag!r}, expected {FORMAT_TAG!r} or {CSR_FORMAT_TAG!r}", "format"
+        )
     input_dim = _require(doc, "input_dim", "root")
     if not isinstance(input_dim, int) or isinstance(input_dim, bool):
         raise ParseError(f"'input_dim' must be an integer, got {input_dim!r}", "input_dim")
@@ -481,8 +568,11 @@ def deserialize(text: str) -> FeedForwardNet:
         where = f"layers[{idx}]"
         if not isinstance(entry, dict):
             raise ParseError("layer entry must be an object", where)
-        weights = _require_numbers(entry, "weights", where, rows=True)
-        biases = _require_numbers(entry, "biases", where, rows=False)
+        if tag == CSR_FORMAT_TAG and "weights" not in entry:
+            csr, weights = _csr_fields(entry, where), None
+        else:
+            csr, weights = None, _require_numbers(entry, "weights", where, rows=True)
+        biases = _require_numbers(entry, "biases", where)
         apply_activation = _require(entry, "apply_activation", where)
         if not isinstance(apply_activation, bool):
             raise ParseError(
@@ -491,7 +581,7 @@ def deserialize(text: str) -> FeedForwardNet:
             )
         try:
             layer = AffineLayer(
-                weights=np.asarray(weights, dtype=np.float64),
+                weights=_csr(*csr) if csr else np.asarray(weights, dtype=np.float64),
                 biases=np.asarray(biases, dtype=np.float64),
                 apply_activation=apply_activation,
             )

@@ -24,6 +24,7 @@ from maxnet import (
     mantel_edge_threshold,
     parallelotope_floor,
 )
+from maxnet import analysis
 from maxnet.analysis import kernel_constancy_deviation
 
 
@@ -191,6 +192,13 @@ class TestKernelDirection:
     def test_too_many_rows_rejected(self):
         with pytest.raises(ValueError):
             kernel_direction(np.ones((3, 3)))
+
+    def test_bad_elimination_is_arithmetic_error(self, monkeypatch):
+        # a vector that W does not annihilate must not come out as the kernel
+        monkeypatch.setattr(analysis, "_eliminate_null_vector",
+                            lambda W, tol: np.ones(W.shape[1]))
+        with pytest.raises(ArithmeticError, match="kernel vector"):
+            kernel_direction(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
 class TestParallelotope:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from maxnet import AffineLayer, FeedForwardNet, load, save, stats
+from maxnet import AffineLayer, FeedForwardNet, cli, load, save, stats
 from maxnet.cli import main
 
 
@@ -30,9 +30,10 @@ def figure_net(path):
     return net
 
 
-# sha256 of `maxnet construct` outputs, fixed when the net files were
-# written from dense matrices; deep at d = 256 and 512 and depth3 at d = 64
-# now hold sparse layers, and their files must not change
+# sha256 of `maxnet construct` outputs. The nets whose layers are all dense
+# are written as maxnet-ffn/1, and their files must not change; deep at
+# d = 256 and 512 and depth3 at d = 64 hold sparse layers and are written as
+# maxnet-ffn/2, whose files load to the arrays of their /1 files
 CONSTRUCT_SHA256 = [
     (['depth3', '--d', '2', '--alpha', '0.5'],
      "65a63e4719f2f9858c4b59575cad9ed8c2edee07430159b605ed2998f4a4d076"),
@@ -41,15 +42,15 @@ CONSTRUCT_SHA256 = [
     (['depth3', '--d', '32', '--alpha', '0.5'],
      "9a28dd86e0ab9df42c8bcffdc245c7c627696518aa9d4b5d9279a70d294674bc"),
     (['depth3', '--d', '64', '--alpha', '0.5'],
-     "b45d5d13ecc3ddb1b12a01a1cf7a7daed35a2db214b4779c01ae06f8aeb57056"),
+     "7df9d4c81cebbd5070a49432115dbc00a1c4810cf39c8137b9ad6c0024f2eda6"),
     (['deep', '--d', '16', '--k', '2', '--alpha', '0.5'],
      "b1fc96d12a34bae079dee6203fd947c58bb17d5312dd292e5e3de47fddb8e0d2"),
     (['deep', '--d', '58', '--k', '3', '--alpha', '0.5'],
      "9d146e0ca13370aaf2cd170e47b874ce1de50faec2cabc959c17e7e7c7377383"),
     (['deep', '--d', '256', '--k', '2', '--alpha', '0.5'],
-     "52380ac83903b949cc10dd2a5d8a7673a8b90c65fa8dc1a34ca59659b43d419e"),
+     "9267d308f4709e143619afbbc0bbb9fd57a0cffb69cfe7f0a409d645cedf3b26"),
     (['deep', '--d', '512', '--k', '3', '--alpha', '0.5'],
-     "bef4df25e245d318dda1a406b0aaf51e0a4acf7a63ebbc838a87581b1c1240c2"),
+     "56ef4d5fc23553fb1ba3f94fe5b7d8fc855590eabb7897c3754fbd6b9376c744"),
     (['depth3', '--d', '2', '--alpha', '7'],
      "bf441fe0128dd3b1320faac3289807695e38fcb32c1fab27704117e0b22b223f"),
     (['depth3', '--d', '8', '--alpha', '7'],
@@ -57,15 +58,15 @@ CONSTRUCT_SHA256 = [
     (['depth3', '--d', '32', '--alpha', '7'],
      "ec2d1126c1958dbee4e4e41cd0da391a0e82ed6f82f5ab313ed4fa549dc18ac0"),
     (['depth3', '--d', '64', '--alpha', '7'],
-     "e3960ba2c73b809f8e91fe9fb8cfdfc1c9c9cb26442850ec17956003105201c2"),
+     "4ec0aeafb8dca374e97400c79c1de0f61b1b5aa0b3e7ce5b919ce54df6bd523e"),
     (['deep', '--d', '16', '--k', '2', '--alpha', '7'],
      "7f3813f518c54a588133387fae5390fbd82481bf2614bb555f0600760e491160"),
     (['deep', '--d', '58', '--k', '3', '--alpha', '7'],
      "c39252a5e47479d60d292a43029e3d57941cdba160467f1317b0c88e29561c00"),
     (['deep', '--d', '256', '--k', '2', '--alpha', '7'],
-     "fbe84fdba1c7368a67cdf584286a56c0529c154bb0408e71d4c207bddb287517"),
+     "e125b5c81c0186ad49c010c3ccb53e43831fb348683388efe63137c3641e5f9b"),
     (['deep', '--d', '512', '--k', '3', '--alpha', '7'],
-     "72e7ddcb2c3403314ed306da0ff99e0ec54f4e9e05f441fea25777ac552b81ff"),
+     "d27e0017ad296aa419499a45ca8e17a3ef21c1de414798eef4a7143c9ffd3670"),
     (['depth3', '--d', '2', '--alpha', '1e6'],
      "0b12ad4efe254ae6d3988ee1cf77d97c7416ab06ff5c90dcb798bc4bf0cca56a"),
     (['depth3', '--d', '8', '--alpha', '1e6'],
@@ -73,15 +74,15 @@ CONSTRUCT_SHA256 = [
     (['depth3', '--d', '32', '--alpha', '1e6'],
      "9d70aa01b7751f02cc1d40e192125a7e36ed0a2cde0380a5ee034dc053340c2f"),
     (['depth3', '--d', '64', '--alpha', '1e6'],
-     "f680e3748bda0298e3532d5a6bbec2a1da3e766fc83f5ab64d9647c693ad8d1a"),
+     "56bcba728c3fcd5cf229befbb909c312cd885a3b2113569661d095ce871780f9"),
     (['deep', '--d', '16', '--k', '2', '--alpha', '1e6'],
      "b571273e08e33fc17d3bf0e652202bd6cb9b5ad16d8b3ffa94882c46f13aa85f"),
     (['deep', '--d', '58', '--k', '3', '--alpha', '1e6'],
      "9400e83be47e8758813e3094ceee86bffef5183f30f086b60e979716c2dc9415"),
     (['deep', '--d', '256', '--k', '2', '--alpha', '1e6'],
-     "33a65215b3d128321d9e75c29d3415efd58bfb0281afe2d269eadc540b338198"),
+     "5613fc019f361fb503c216b84206b4c64984231612356ff936a1472e22052d00"),
     (['deep', '--d', '512', '--k', '3', '--alpha', '1e6'],
-     "440e422e031cc06caf257b6932e5cc52e1c107e347aa3c6cfe108f0c7e26b2e8"),
+     "516902b1d2141cf571b162dad485cc7ac8cf6d9bbeb296d0419a4efc86e722c8"),
     (['exact-tree', '--d', '1'],
      "f79dd78d727ea35621215394c6c3ac511f92d91142ff81f12b61fd623f0e8b8d"),
     (['exact-tree', '--d', '7'],
@@ -268,6 +269,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 64
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError(), "MemoryError"),
+        (RuntimeError("boom"), "RuntimeError: boom"),
+    ])
+    def test_message_names_the_exception_type(self, tmp_path, capsys, monkeypatch,
+                                             exc, detail):
+        # a MemoryError has an empty message, which alone says nothing
+        def fail(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_construct", fail)
+        code, _, err = run(["construct", "exact-tree", "--d", "2",
+                            "--out", str(tmp_path / "net.json")], capsys)
+        assert code == 1
+        assert err == f"maxnet: internal error: {detail}\n"
 
 
 class TestAnalyze:

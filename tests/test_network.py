@@ -31,7 +31,9 @@ from maxnet import (
     TrainConfig,
 )
 from maxnet import network
-from maxnet.network import FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS
+from maxnet.network import (
+    CSR_FORMAT_TAG, FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS,
+)
 
 
 def single_relu_neuron() -> FeedForwardNet:
@@ -439,36 +441,54 @@ class TestRowTiles:
         assert peak <= 16 * 2**20, peak / 2**20
 
 
-def reference_serialize(net: FeedForwardNet) -> str:
-    """The document as json's own encoder writes it: the layout serialize
-    must reproduce byte for byte."""
+def reference_serialize(net: FeedForwardNet, csr: bool = False) -> str:
+    """The document as json's own encoder writes it. By default it is the
+    maxnet-ffn/1 document, with every layer's ``weights`` rows. With
+    ``csr`` it is the layout serialize must reproduce byte for byte: a net
+    with a layer stored sparse becomes maxnet-ffn/2, and each such layer
+    holds the CSR arrays of its matrix."""
+    csr = csr and any(map(is_sparse, net.layers))
+    layers = []
+    for layer in net.layers:
+        m = layer.matrix
+        if csr and is_sparse(layer):
+            entry = {"shape": list(m.shape), "indptr": m.indptr.tolist(),
+                     "indices": m.indices.tolist(), "values": m.data.tolist()}
+        else:
+            entry = {"weights": layer.weights.tolist()}
+        entry["biases"] = layer.biases.tolist()
+        entry["apply_activation"] = layer.apply_activation
+        layers.append(entry)
     doc = {
-        "format": FORMAT_TAG,
+        "format": CSR_FORMAT_TAG if csr else FORMAT_TAG,
         "input_dim": net.input_dim,
         "activation": net.activation,
         "metadata": net.metadata,
-        "layers": [
-            {
-                "weights": layer.weights.tolist(),
-                "biases": layer.biases.tolist(),
-                "apply_activation": layer.apply_activation,
-            }
-            for layer in net.layers
-        ],
+        "layers": layers,
     }
     return json.dumps(doc, indent=1)
 
 
-def assert_serialize_matches_reference(net: FeedForwardNet) -> None:
-    text = serialize(net)
-    assert text == reference_serialize(net)
-    clone = deserialize(text)
-    assert clone.metadata == net.metadata
+def assert_same_arrays(net: FeedForwardNet, clone: FeedForwardNet) -> None:
+    """The two nets hold the same arrays, bit for bit, stored the same way."""
+    assert (clone.input_dim, clone.activation, clone.metadata) == (
+        net.input_dim, net.activation, net.metadata)
     for a, b in zip(net.layers, clone.layers, strict=True):
-        assert a.weights.shape == b.weights.shape
-        assert np.array_equal(a.weights.view(np.uint64), b.weights.view(np.uint64))
+        assert type(a.matrix) is type(b.matrix) and a.matrix.shape == b.matrix.shape
+        if is_sparse(a):
+            for x, y in ((a.matrix.indptr, b.matrix.indptr),
+                         (a.matrix.indices, b.matrix.indices)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        values_a, values_b = network._values(a.matrix), network._values(b.matrix)
+        assert np.array_equal(values_a.view(np.uint64), values_b.view(np.uint64))
         assert np.array_equal(a.biases.view(np.uint64), b.biases.view(np.uint64))
         assert a.apply_activation == b.apply_activation
+
+
+def assert_serialize_matches_reference(net: FeedForwardNet) -> None:
+    text = serialize(net)
+    assert text == reference_serialize(net, csr=True)
+    assert_same_arrays(net, deserialize(text))
 
 
 # floats whose repr is easy to get wrong: signed zero, the smallest
@@ -553,6 +573,209 @@ class TestSerializeBytes:
         assert peak <= 4 * len(text), peak / len(text)
 
 
+NONZERO_EDGE_FLOATS = [v for v in EDGE_FLOATS if np.float64(v).view(np.uint64)]
+
+
+@st.composite
+def csr_nets(draw):
+    """A net whose first layer meets the storage rule: 512 x 512 weights,
+    a few rows of which hold entries (the first of them exactly one) and
+    the rest none, then a dense hidden layer and the output layer."""
+    n = 512
+    values = st.one_of(
+        st.sampled_from(NONZERO_EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),  # +0.0 is not stored
+    )
+    w = np.zeros((n, n))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8, unique=True))
+    for i, r in enumerate(rows):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                             max_size=1 if i == 0 else 6, unique=True))
+        w[r, cols] = draw(st.lists(values, min_size=len(cols), max_size=len(cols)))
+    b = np.zeros(n)
+    b[:3] = draw(st.lists(values, min_size=3, max_size=3))
+    hidden = np.zeros((2, n))  # stored dense: 1024 weights are too few for CSR
+    hidden[:, :3] = np.reshape(draw(st.lists(values, min_size=6, max_size=6)), (2, 3))
+    net = FeedForwardNet(
+        input_dim=n,
+        layers=(
+            AffineLayer(w, b),
+            AffineLayer(hidden, draw(st.lists(values, min_size=2, max_size=2))),
+            AffineLayer(np.array([draw(st.lists(values, min_size=2, max_size=2))]),
+                        [draw(values)], apply_activation=False),
+        ),
+        metadata=draw(st.sampled_from(EDGE_TEXT)),
+    )
+    assert is_sparse(net.layers[0]) and not is_sparse(net.layers[1])
+    return net
+
+
+SPARSE_CONSTRUCTIONS = {
+    **{f"depth3-64-{a}": (lambda a=a: depth3_max(64, a)) for a in (0.5, 7.0, 1e6)},
+    **{f"deep-256-2-{a}": (lambda a=a: deep_max(256, a, 2)) for a in (0.5, 7.0, 1e6)},
+    **{f"deep-512-3-{a}": (lambda a=a: deep_max(512, a, 3)) for a in (0.5, 1e6)},
+    "deep-1024-2-1e6": lambda: deep_max(1024, 1e6, 2),
+}
+
+
+def sparse_doc() -> dict:
+    """The maxnet-ffn/2 document of a net whose first layer is stored
+    sparse, with an empty row and row 7 holding entries at columns 3 and 9."""
+    w = scattered((1024, 256), 60, seed=4)
+    w[0] = 0.0
+    w[7, 3], w[7, 9] = 1.5, -2.0
+    net = FeedForwardNet(
+        input_dim=256,
+        layers=(AffineLayer(w, np.zeros(1024)),
+                AffineLayer(np.ones((1, 1024)), np.zeros(1), apply_activation=False)),
+    )
+    doc = json.loads(serialize(net))
+    assert doc["format"] == CSR_FORMAT_TAG and "indptr" in doc["layers"][0]
+    return doc
+
+
+def _set(key, i, value):
+    def mutate(entry):
+        entry[key][i] = value
+    return mutate
+
+
+def _row7(mutate):
+    """Apply ``mutate(indices, p)`` to the first two entries of row 7."""
+    return lambda entry: mutate(entry["indices"], entry["indptr"][7])
+
+
+def _swap(indices, p):
+    indices[p], indices[p + 1] = indices[p + 1], indices[p]
+
+
+def _repeat(indices, p):
+    indices[p + 1] = indices[p]
+
+
+# one malformed value per check of a CSR entry: (field, mutation)
+MALFORMED_CSR = {
+    "shape-one-int": ("shape", lambda e: e.update(shape=[1024])),
+    "shape-three-ints": ("shape", lambda e: e.update(shape=[1024, 256, 1])),
+    "shape-negative": ("shape", _set("shape", 1, -1)),
+    "shape-float": ("shape", _set("shape", 1, 256.0)),
+    "shape-bool": ("shape", _set("shape", 0, True)),
+    "shape-string": ("shape", lambda e: e.update(shape="1024x256")),
+    "indptr-not-a-list": ("indptr", lambda e: e.update(indptr=0)),
+    "indptr-bool": ("indptr", _set("indptr", 0, False)),
+    "indptr-float": ("indptr", _set("indptr", 1, 0.0)),
+    "indptr-short": ("indptr", lambda e: e["indptr"].pop()),
+    "indptr-not-from-0": ("indptr", _set("indptr", 0, 1)),
+    "indptr-decreasing": ("indptr", lambda e: e["indptr"].__setitem__(8, e["indptr"][7] - 1)),
+    "indptr-not-to-nnz": ("indptr", lambda e: e["indptr"].__setitem__(-1, e["indptr"][-1] + 1)),
+    "indptr-beyond-int64": ("indptr", _set("indptr", 500, 2**70)),
+    "indices-bool": ("indices", _set("indices", 0, True)),
+    "indices-float": ("indices", _set("indices", 0, 3.0)),
+    "indices-negative": ("indices", _set("indices", 0, -1)),
+    "indices-past-shape": ("indices", _set("indices", -1, 256)),
+    "indices-beyond-int64": ("indices", _set("indices", 0, 2**70)),
+    "indices-unsorted": ("indices", _row7(_swap)),
+    "indices-repeated": ("indices", _row7(_repeat)),
+    "values-short": ("values", lambda e: e["values"].pop()),
+    "values-bool": ("values", _set("values", 0, True)),
+    "values-string": ("values", _set("values", 0, "1.5")),
+    "values-positive-zero": ("values", _set("values", 0, 0.0)),
+    "values-integer-zero": ("values", _set("values", 0, 0)),
+    "values-infinite": ("values", _set("values", 0, float("inf"))),
+    "values-nan": ("values", _set("values", 0, float("nan"))),
+    "values-beyond-float64": ("values", _set("values", 0, 10**400)),
+}
+
+
+class TestCsrFormat:
+    """maxnet-ffn/2: the layers stored sparse are written as CSR arrays."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: depth3_max(64, 7.0), lambda: deep_max(256, 1e6, 2),
+    ], ids=["depth3-64", "deep-256-2"])
+    def test_constructions_match_json(self, make):
+        assert_serialize_matches_reference(make())
+
+    @settings(max_examples=40, deadline=None)
+    @given(net=csr_nets())
+    def test_random_csr_layers_match_json(self, net):
+        assert_serialize_matches_reference(net)
+
+    @pytest.mark.parametrize("name", SPARSE_CONSTRUCTIONS)
+    def test_round_trip_is_bit_identical(self, name):
+        net = SPARSE_CONSTRUCTIONS[name]()
+        text = serialize(net)
+        assert json.loads(text[:text.index(",")] + "}")["format"] == CSR_FORMAT_TAG
+        assert_same_arrays(net, deserialize(text))
+
+    def test_dense_nets_stay_format_1(self):
+        net = depth3_max(32, 1e3)
+        assert serialize(net) == reference_serialize(net)
+        assert f'"format": "{FORMAT_TAG}"' in serialize(net)
+
+    def test_format_1_file_of_a_sparse_net_still_loads(self):
+        net = deep_max(256, 1e6, 2)
+        assert_same_arrays(net, deserialize(reference_serialize(net)))
+
+    def test_dense_entry_of_a_sparse_layer_loads_sparse(self):
+        net = deep_max(256, 1e6, 2)
+        doc = json.loads(serialize(net))
+        doc["layers"][0] = {"weights": net.layers[0].weights.tolist(),
+                            **{k: v for k, v in doc["layers"][0].items()
+                               if k in ("biases", "apply_activation")}}
+        assert_same_arrays(net, deserialize(json.dumps(doc)))
+
+    @pytest.mark.parametrize("case", MALFORMED_CSR)
+    def test_malformed_field_is_located_parse_error(self, case):
+        field, mutate = MALFORMED_CSR[case]
+        doc = sparse_doc()
+        deserialize(json.dumps(doc))
+        mutate(doc["layers"][0])
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == f"layers[0].{field}"
+
+    @pytest.mark.parametrize("field", ["shape", "indptr", "indices", "values"])
+    def test_missing_csr_field_is_parse_error(self, field):
+        doc = sparse_doc()
+        del doc["layers"][0][field]
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "layers[0]"
+
+    def test_negative_zero_value_is_kept(self):
+        doc = sparse_doc()
+        doc["layers"][0]["values"][0] = -0.0
+        m = deserialize(json.dumps(doc)).layers[0].matrix
+        assert m.nnz == len(doc["layers"][0]["values"])
+        assert m.data.view(np.uint64)[0] == np.float64(-0.0).view(np.uint64)
+
+    def test_weights_never_densified(self, monkeypatch):
+        net = deep_max(256, 1e6, 2)
+
+        def dense_view(layer):
+            raise AssertionError("a sparse layer was densified")
+        monkeypatch.setattr(AffineLayer, "weights", property(dense_view))
+        assert_same_arrays(net, deserialize(serialize(net)))
+
+    def test_memory_of_the_round_trip(self):
+        # as maxnet-ffn/1 the file took 587 MB and its round trip peaked at
+        # 3.7 GB of RSS
+        net = deep_max(1024, 1e6, 2)
+        tracemalloc.start()
+        try:
+            text = serialize(net)
+            serialize_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            clone = deserialize(text)
+            deserialize_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert serialize_peak < 500e6 and deserialize_peak < 500e6, (
+            serialize_peak, deserialize_peak)
+        assert_same_arrays(net, clone)
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact_evaluation(self):
         net = depth3_max(3, 100.0)
@@ -578,7 +801,7 @@ class TestSerialization:
             deserialize('{"input_dim": 1,')
         assert exc.value.location
 
-    @pytest.mark.parametrize("tag", [None, "maxnet-ffn/2", "", 1])
+    @pytest.mark.parametrize("tag", [None, "maxnet-ffn/3", "", 1])
     def test_missing_or_unknown_format_rejected(self, tag):
         doc = json.loads(serialize(depth3_max(2, 10.0)))
         if tag is None:
