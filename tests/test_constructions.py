@@ -34,7 +34,7 @@ from maxnet import (
     stats,
     DistributionSpec,
 )
-from maxnet.network import SPARSE_MIN_WEIGHTS, AffineLayer, deserialize, serialize
+from maxnet.network import SPARSE_MIN_WEIGHTS, deserialize, serialize
 
 
 def relu(t: float) -> float:
@@ -303,14 +303,8 @@ class TestDeep:
 
     @pytest.mark.parametrize("d,k,alpha", SPARSE_GRID)
     def test_loaded_net_has_the_built_csr(self, d, k, alpha):
-        # deserialize hands AffineLayer the dense parsed matrix; the JSON of
-        # (1024, 2) is 587 MB, so there the layers are rebuilt from .weights
         net = deep_max(d, alpha, k)
-        if d < 1024:
-            layers = deserialize(serialize(net)).layers
-        else:
-            layers = [AffineLayer(l.weights, l.biases, l.apply_activation) for l in net.layers]
-        for built, loaded in zip(net.layers, layers):
+        for built, loaded in zip(net.layers, deserialize(serialize(net)).layers):
             assert type(built.matrix) is type(loaded.matrix)
             if isinstance(built.matrix, np.ndarray):
                 continue
