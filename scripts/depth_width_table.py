@@ -23,7 +23,8 @@ def main() -> int:
 
     rows = [["d", "construction", "k", "depth", "width", "width_bound"]]
     for d in (int(t) for t in args.dims.split(",")):
-        rows.append([d, "exact_tree", "", math.ceil(math.log2(d)) + 1, "~3d", ""])
+        tree_width = 3 * (d // 2) + 2 * (d % 2)  # the first layer's units
+        rows.append([d, "exact_tree", "", math.ceil(math.log2(d)) + 1, tree_width, ""])
         rows.append([d, "depth3", 1, 3, depth3_shape(d)[0], 20 * d * d])
         for k in range(2, max_k_for_width_bound(d) + 1):
             widths = deep_shape(d, k)

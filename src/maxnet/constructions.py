@@ -190,15 +190,21 @@ def _deep_triplets(d: int, alpha: float, k: int):
     return hidden + [merged] + inner[1:]
 
 
-def _deep_layers(d: int, alpha: float, k: int) -> list[AffineLayer]:
-    """The layers of the depth-(2k+1) maximum, each stored by the storage
-    rule straight from its triplets; all biases are zero."""
+def _deep_net(d: int, alpha: float, k: int, metadata: str) -> FeedForwardNet:
+    """The depth-(2k+1) maximum of d inputs, each layer stored by the
+    storage rule straight from its triplets; all biases are zero."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     *hidden, out = _deep_triplets(d, alpha, k)
     layers = [AffineLayer(matrix_from_triplets(*spec), np.zeros(spec[0][0]))
               for spec in hidden]
     layers.append(AffineLayer(matrix_from_triplets(*out), np.zeros(1),
                               apply_activation=False))
-    return layers
+    return FeedForwardNet(input_dim=d, layers=tuple(layers), metadata=metadata)
 
 
 def depth3_max(d: int, alpha: float) -> FeedForwardNet:
@@ -207,15 +213,7 @@ def depth3_max(d: int, alpha: float) -> FeedForwardNet:
     Exact on 1/alpha-separated inputs; |output| <= ||x||_1 everywhere.
     max |weight| is max(alpha, 1) and all biases are zero.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
-    return FeedForwardNet(
-        input_dim=d,
-        layers=tuple(_deep_layers(d, alpha, 1)),
-        metadata=f"depth3_max d={d} alpha={alpha!r}",
-    )
+    return _deep_net(d, alpha, 1, f"depth3_max d={d} alpha={alpha!r}")
 
 
 def deep_max(d: int, alpha: float, k: int) -> FeedForwardNet:
@@ -233,17 +231,7 @@ def deep_max(d: int, alpha: float, k: int) -> FeedForwardNet:
     max(alpha, 1). Exact on 1/alpha-separated inputs and bounded by
     ||x||_1 everywhere.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return FeedForwardNet(
-        input_dim=d,
-        layers=tuple(_deep_layers(d, alpha, k)),
-        metadata=f"deep_max d={d} alpha={alpha!r} k={k}",
-    )
+    return _deep_net(d, alpha, k, f"deep_max d={d} alpha={alpha!r} k={k}")
 
 
 def exact_max_tree(d: int) -> FeedForwardNet:
@@ -256,35 +244,29 @@ def exact_max_tree(d: int) -> FeedForwardNet:
     if d < 1:
         raise ValueError("d must be >= 1")
     layers: list[AffineLayer] = []
-    # Current values are affine in the previous layer's outputs: v = C h + c.
-    C = np.eye(d)
-    c = np.zeros(d)
-    while C.shape[0] > 1:
-        m = C.shape[0]
-        n_pairs, odd = divmod(m, 2)
-        w_rows, combine_rows = [], []
-        col = 0
-        for p in range(n_pairs):
-            a, b = 2 * p, 2 * p + 1
-            w_rows.extend([C[a] - C[b], C[b], -C[b]])
-            combine = np.zeros(3 * n_pairs + 2 * odd)
-            combine[col : col + 3] = (1.0, 1.0, -1.0)
-            combine_rows.append(combine)
-            col += 3
-        b_new = []
-        for p in range(n_pairs):
-            a, b = 2 * p, 2 * p + 1
-            b_new.extend([c[a] - c[b], c[b], -c[b]])
+    C = np.eye(d)  # the current values are C h, h the previous layer's outputs
+    while len(C) > 1:
+        n_pairs, odd = divmod(len(C), 2)
+        m = 3 * n_pairs
+        # units 3p, 3p + 1, 3p + 2 of pair (a, b) = (2p, 2p + 1) are
+        # relu(a - b), relu(b), relu(-b); an odd last value v passes as
+        # relu(v) - relu(-v) through the last two units
+        W = np.empty((m + 2 * odd, C.shape[1]))
+        a, b = slice(0, 2 * n_pairs, 2), slice(1, 2 * n_pairs, 2)
+        np.subtract(C[a], C[b], out=W[0:m:3])
+        W[1:m:3] = C[b]
+        np.negative(C[b], out=W[2:m:3])
         if odd:
-            w_rows.extend([C[-1], -C[-1]])
-            b_new.extend([c[-1], -c[-1]])
-            combine = np.zeros(3 * n_pairs + 2)
-            combine[col : col + 2] = (1.0, -1.0)
-            combine_rows.append(combine)
-        layers.append(AffineLayer(np.array(w_rows), np.array(b_new)))
-        C = np.array(combine_rows)
-        c = np.zeros(C.shape[0])
-    layers.append(AffineLayer(C.reshape(1, -1), c[:1], apply_activation=False))
+            W[m] = C[-1]
+            np.negative(C[-1], out=W[m + 1])
+        sign = np.ones(len(W))  # of each unit in its pair's maximum
+        sign[2:m:3] = sign[m + 1 :] = -1.0
+        # every bias is 0.0, negated to -0.0 on the negated units
+        layers.append(AffineLayer(W, np.copysign(0.0, sign)))
+        units = np.arange(len(W))
+        C = np.zeros((n_pairs + odd, len(W)))
+        C[units // 3, units] = sign  # unit u feeds value u // 3, odd value too
+    layers.append(AffineLayer(C, np.zeros(1), apply_activation=False))
     return FeedForwardNet(input_dim=d, layers=tuple(layers), metadata=f"exact_max_tree d={d}")
 
 
@@ -298,24 +280,16 @@ def rescale_to_box(net: FeedForwardNet, a: float, R: float) -> FeedForwardNet:
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    first = net.layers[0]
-    w_first = first.weights / R
-    b_first = first.biases - (a / R) * first.weights.sum(axis=1)
-    last = net.layers[-1]
-    if len(net.layers) == 1:
-        # single affine layer receives both the input and output transforms
-        layers = [
-            AffineLayer(R * w_first, R * b_first + a, apply_activation=False)
-        ]
-    else:
-        layers = [AffineLayer(w_first, b_first, first.apply_activation)]
-        layers.extend(net.layers[1:-1])
-        layers.append(
-            AffineLayer(R * last.weights, R * last.biases + a, apply_activation=False)
-        )
+    layers = list(net.layers)
+    first = layers[0]
+    layers[0] = AffineLayer(first.weights / R,
+                            first.biases - (a / R) * first.weights.sum(axis=1),
+                            first.apply_activation)
+    # for a one-layer net this is the layer just made, which takes both maps
+    last = layers[-1]
+    layers[-1] = AffineLayer(R * last.weights, R * last.biases + a, apply_activation=False)
     return FeedForwardNet(
         input_dim=net.input_dim,
         layers=tuple(layers),
-        activation=net.activation,
         metadata=f"{net.metadata} | rescaled to [{a!r}, {a + R!r}]^d",
     )

@@ -200,7 +200,6 @@ class FeedForwardNet:
 
     input_dim: int
     layers: tuple[AffineLayer, ...]
-    activation: str = "relu"
     metadata: str = ""
 
     def __post_init__(self):
@@ -209,10 +208,6 @@ class FeedForwardNet:
             raise ValueError("input_dim must be >= 1")
         if not self.layers:
             raise ValueError("a network needs at least the output layer")
-        if self.activation != "relu":
-            raise ValueError(
-                f"unknown activation {self.activation!r}; only 'relu' is supported"
-            )
         expect = self.input_dim
         for idx, layer in enumerate(self.layers):
             if layer.in_width != expect:
@@ -441,7 +436,7 @@ def serialize(net: FeedForwardNet) -> str:
         {
             "format": FORMAT_TAG if dense else CSR_FORMAT_TAG,
             "input_dim": net.input_dim,
-            "activation": net.activation,
+            "activation": "relu",
             "metadata": net.metadata,
         },
         indent=1,
@@ -592,14 +587,9 @@ def deserialize(text: str) -> FeedForwardNet:
     if not isinstance(metadata, str):
         raise ParseError(f"'metadata' must be a string, got {metadata!r}", "metadata")
     activation = _require(doc, "activation", "root")
-    if not isinstance(activation, str):
-        raise ParseError(f"'activation' must be a string, got {activation!r}", "activation")
-    return FeedForwardNet(
-        input_dim=input_dim,
-        layers=tuple(layers),
-        activation=activation,
-        metadata=metadata,
-    )
+    if activation != "relu":
+        raise ParseError(f"'activation' must be \"relu\", got {activation!r}", "activation")
+    return FeedForwardNet(input_dim=input_dim, layers=tuple(layers), metadata=metadata)
 
 
 def save(net: FeedForwardNet, path) -> None:

@@ -16,6 +16,7 @@ is never held for the whole shard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -33,7 +34,7 @@ class DistributionSpec:
     kinds:
       * ``uniform_box``: iid coordinates uniform on [a, a+R]
       * ``gaussian_std``: iid standard normal coordinates
-      * ``iid_plus_noise``: discrete base (rademacher corners) plus iid
+      * ``iid_plus_noise``: rademacher corners (iid +-1 coordinates) plus iid
         continuous noise (uniform on [-scale/2, scale/2] or centered
         gaussian with standard deviation scale)
     """
@@ -42,7 +43,6 @@ class DistributionSpec:
     d: int
     a: float = 0.0
     R: float = 1.0
-    base: str = "rademacher"
     noise: str = "uniform"
     noise_scale: float = 0.1
     seed: int = 0
@@ -52,17 +52,17 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        if not math.isfinite(self.a):
+            raise ValueError("a must be finite")
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.kind == "iid_plus_noise":
-            if self.base != "rademacher":
-                raise ValueError("supported base source: rademacher")
             if self.noise not in ("uniform", "gaussian"):
                 raise ValueError("noise must be 'uniform' or 'gaussian'")
-            if self.noise_scale <= 0:
-                raise ValueError("noise_scale must be positive")
+            if not 0 < self.noise_scale < math.inf:
+                raise ValueError("noise_scale must be positive and finite")
 
     @classmethod
     def uniform_box(cls, d: int, a: float = 0.0, R: float = 1.0, seed: int = 0):
@@ -201,7 +201,7 @@ def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
 def is_delta_separated(x, delta: float) -> bool:
     """True iff no coordinate ratio x_i/x_j (x_j != 0, i != j) is within
     delta of 1."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     return not bool(_violation_mask(x[None, :], delta)[0])
@@ -286,7 +286,7 @@ def estimate_violation_prob(
     chunk: int = 65536,
 ) -> ProportionEstimate:
     """Monte Carlo estimate of P[X not delta-separated] with a Wilson CI."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -309,6 +309,8 @@ def sample_separated(
     max_draws: int = 200,
 ) -> np.ndarray:
     """Rejection-sample n points conditioned on delta-separation."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     root = dist.seed if seed is None else seed
     m = max(n, 1024)
     kept: list[np.ndarray] = []

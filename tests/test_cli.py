@@ -395,6 +395,19 @@ class TestSeparation:
         prob = float(first.decode().strip().splitlines()[1].split(",")[4])
         assert prob <= 2 * 4 * 0.01 + 0.01
 
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "nan"],
+        ["--delta", "0.01", "--R", "nan"],
+        ["--delta", "0.01", "--a", "inf"],
+        ["--delta", "0.01", "--dist", "noise", "--noise-scale", "nan"],
+    ])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "sep.csv"
+        code, _, err = run(["separation", "--d", "2", *flags, "--n", "1000",
+                            "--seed", "3", "--out", str(out)], capsys)
+        assert code == 2 and "must be" in err
+        assert not out.exists()
+
 
 class TestManifestStability:
     def test_manifests_differ_only_in_timestamp(self, tmp_path, capsys):

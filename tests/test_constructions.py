@@ -8,14 +8,20 @@ depth-3 block into a zeroed matrix, builds block-diagonal layers and merges
 batch maxima by a matrix product.
 """
 
+import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import maxnet
 from maxnet import (
     alpha_for_accuracy,
     batch_split,
@@ -133,6 +139,33 @@ def stored_bytes(net) -> int:
         parts = [m] if isinstance(m, np.ndarray) else [m.data, m.indices, m.indptr]
         total += sum(p.nbytes for p in parts) + layer.biases.nbytes
     return total
+
+
+def loop_exact_tree(d: int):
+    """(weights, biases) of each layer of exact_max_tree(d), written pair by
+    pair from the current values v = C h + c: the reference for the strided
+    assembly, which must match it bit for bit, -0.0 included."""
+    layers = []
+    C, c = np.eye(d), np.zeros(d)
+    while len(C) > 1:
+        n_pairs, odd = divmod(len(C), 2)
+        rows, biases = [], []
+        for p in range(n_pairs):
+            a, b = 2 * p, 2 * p + 1
+            rows += [C[a] - C[b], C[b], -C[b]]
+            biases += [c[a] - c[b], c[b], -c[b]]
+        if odd:
+            rows += [C[-1], -C[-1]]
+            biases += [c[-1], -c[-1]]
+        layers.append((np.array(rows), np.array(biases)))
+        C = np.zeros((n_pairs + odd, len(rows)))
+        for p in range(n_pairs):
+            C[p, 3 * p : 3 * p + 3] = (1.0, 1.0, -1.0)
+        if odd:
+            C[-1, -2:] = (1.0, -1.0)
+        c = np.zeros(len(C))
+    layers.append((C, c[:1]))
+    return layers
 
 
 def separated_rows(rng, n: int, d: int, delta: float, spread: float = 1e3):
@@ -399,6 +432,35 @@ class TestExactTree:
         scale = np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
+    def test_assembly_matches_loop_reference(self):
+        for d in [*range(1, 70), 127, 128, 129]:
+            net = exact_max_tree(d)
+            for layer, (w, b) in zip(net.layers, loop_exact_tree(d), strict=True):
+                assert np.array_equal(layer.weights.view(np.uint64), w.view(np.uint64)), d
+                assert np.array_equal(layer.biases.view(np.uint64), b.view(np.uint64)), d
+
+    def test_not_bit_exact_even_on_nonnegative_inputs(self):
+        net = exact_max_tree(2)
+        assert evaluate(net, [768.0942222207374, 152.80892869647533]) == 768.0942222207373
+        x = [0.0005910296557712952, -1.6194200987220926]
+        assert abs(evaluate(net, x) - x[0]) == 988 * np.spacing(x[0])
+
+    def test_rounding_bound(self):
+        # |net - max| <= 4 ceil(log2 d) 2^-53 max_i |x_i|: each level rounds
+        # a - b and then the sum of its units; the measured worst case is half
+        # this bound
+        for d in range(2, 131):
+            rng = np.random.default_rng(d)
+            X = np.vstack([
+                rng.random((200, d)),
+                rng.standard_normal((200, d)),
+                rng.uniform(-1, 1, (200, d)) * 10.0 ** rng.uniform(-6, 6, (200, 1)),
+                rng.choice([-1.0, 1.0], (200, d)) * 2.0 ** rng.uniform(-30, 30, (200, d)),
+            ])
+            err = np.abs(evaluate_batch(exact_max_tree(d), X) - X.max(axis=1))
+            bound = 4 * math.ceil(math.log2(d)) * 2.0**-53 * np.abs(X).max(axis=1)
+            assert np.all(err <= bound), d
+
 
 class TestRescale:
     def test_identity_rescale_is_weight_identical(self):
@@ -430,6 +492,28 @@ class TestRescale:
     def test_bad_R(self):
         with pytest.raises(ValueError):
             rescale_to_box(exact_max_tree(2), 0.0, -1.0)
+
+
+class TestDepthWidthTable:
+    def test_rows_match_the_built_nets(self):
+        script = Path(__file__).parents[1] / "scripts" / "depth_width_table.py"
+        src = str(Path(maxnet.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        dims = [2, 3, 7, 58, 64, 129]
+        out = subprocess.run([sys.executable, str(script), "--dims", ",".join(map(str, dims))],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["d", "construction", "k", "depth", "width", "width_bound"]
+        # per d: the tree, then k = 1 .. max_k_for_width_bound(d)
+        assert len(rows) == 1 + sum(max_k_for_width_bound(d) + 1 for d in dims)
+        for d, kind, k, depth, width, _ in rows[1:]:
+            d = int(d)
+            if kind == "exact_tree":
+                net = exact_max_tree(d)
+            else:
+                net = deep_max(d, 1.0, int(k))
+            s = stats(net)
+            assert (int(depth), int(width)) == (s.depth, s.width), (d, kind, k)
 
 
 class TestAlphaForAccuracy:

@@ -159,6 +159,16 @@ class TestSeparation:
         with pytest.raises(ValueError):
             is_delta_separated([1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan"), float("-inf")])
+    def test_every_function_rejects_bad_delta(self, delta):
+        dist = DistributionSpec.uniform_box(2, seed=1)
+        with pytest.raises(ValueError, match="delta"):
+            is_delta_separated([1.0, 1.0], delta)
+        with pytest.raises(ValueError, match="delta"):
+            estimate_violation_prob(dist, delta, 100)
+        with pytest.raises(ValueError, match="delta"):
+            sample_separated(dist, delta, 100)
+
     @given(
         xs=st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=5),
         delta=st.floats(1e-3, 0.5),
@@ -270,6 +280,11 @@ class TestDistributions:
             DistributionSpec.uniform_box(2, R=-1.0)
         with pytest.raises(ValueError):
             DistributionSpec.uniform_box(2, seed=-3)
+        for kind, field in [("uniform_box", "a"), ("uniform_box", "R"),
+                            ("iid_plus_noise", "noise_scale")]:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=f"{field} must be"):
+                    DistributionSpec(kind=kind, d=2, **{field: value})
 
 
 class TestViolationProbability:
