@@ -56,6 +56,8 @@ class DistributionSpec:
             raise ValueError("a must be finite")
         if not 0 < self.R < math.inf:
             raise ValueError("R must be positive and finite")
+        if not math.isfinite(self.a + self.R):
+            raise ValueError("a + R must be finite")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.kind == "iid_plus_noise":
@@ -163,6 +165,16 @@ def row_max(X: np.ndarray) -> np.ndarray:
     return m
 
 
+# values per row tile of _violation_mask: 256 KiB per float64 buffer, so
+# a tile's buffers stay in a 2 MiB L2. Median CPU ms per 65536 uniform rows
+# at delta = 1e-2 (one thread, Xeon, 80 interleaved runs) for tiles of
+# 16Ki / 32Ki / 64Ki / 128Ki values and for one tile per 65536-row shard:
+#   d = 2:  0.37 / 0.46 / 0.53 / 0.95 / 1.23
+#   d = 8:  3.77 / 3.73 / 4.37 / 5.55 / 8.81
+#   d = 32: 16.2 / 16.3 / 17.8 / 20.3 / 38.5
+_TILE_VALUES = 32768
+
+
 def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
     """Rows of X that are NOT delta-separated.
 
@@ -187,15 +199,50 @@ def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
         zero next to a nonzero. A row with neither holds at most one
         negative and one positive value, and those two are adjacent.
 
-    Cost is a sort and a few (n, d) temporaries: O(n d log d) time and
-    O(n d) memory.
+    The test takes |fl(b - a)|, which is fl(b - a) on a sorted row. Both it
+    and m are the same for (a, b) and (b, a), as rounding is symmetric, so
+    a row of two values is tested as it stands; only wider rows are sorted.
+
+    Rows are taken in tiles of ``_TILE_VALUES`` values. Each tile is
+    flattened, so its neighbour pairs are two contiguous vectors; the pair
+    that joins the last value of one row to the first of the next is left
+    out of the per-row OR. m > 0 is tested before m is scaled, as delta m
+    can underflow to zero. The sort costs O(n d log d) time; memory beyond
+    the mask is a few tile-sized buffers, whatever n is.
     """
-    S = np.sort(X, axis=1)
-    lo, hi = S[:, :-1], S[:, 1:]
-    m = np.maximum(np.abs(lo), np.abs(hi))
-    close = (hi - lo) <= delta * m
-    close &= m > 0
-    return close.any(axis=1)
+    n, d = X.shape
+    mask = np.zeros(n, dtype=bool)
+    if d < 2 or n == 0:
+        return mask
+    rows = max(1, _TILE_VALUES // d)
+    size = min(rows, n) * d
+    a, m = np.empty(size), np.empty(size - 1)
+    pos, close = np.empty(size - 1, dtype=bool), np.empty(size, dtype=bool)
+    for start in range(0, n, rows):
+        T = X[start:start + rows]
+        r, k = len(T), len(T) * d
+        f = (np.sort(T, axis=1) if d > 2 else T).reshape(-1)
+        np.abs(f, out=a[:k])
+        mk, pk, ck = m[: k - 1], pos[: k - 1], close[: k - 1]
+        np.maximum(a[: k - 1], a[1:k], out=mk)
+        np.greater(mk, 0, out=pk)
+        t = np.subtract(f[1:], f[:-1], out=a[: k - 1])
+        np.abs(t, out=t)
+        mk *= delta
+        np.less_equal(t, mk, out=ck)
+        ck &= pk
+        C = close[:k].reshape(r, d)  # column d - 1 pairs a row with the next
+        out = mask[start:start + r]
+        # A per-row any pays per row, as np.max does: per 32Ki-value tile
+        # it took 286 us against 6 for the column fold at d = 2, 71 against
+        # 27 at d = 12 and 46 against 62 at d = 32.
+        if d <= _FOLD_MAX_D:
+            np.copyto(out, C[:, 0])
+            for j in range(1, d - 1):
+                out |= C[:, j]
+        else:
+            C[:, :-1].any(axis=1, out=out)
+    return mask
 
 
 def is_delta_separated(x, delta: float) -> bool:

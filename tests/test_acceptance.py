@@ -9,6 +9,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -217,14 +218,20 @@ def crit5_pipeline():
     return csv_text(header, rows), checks
 
 
+# sha256 of the criterion-5 CSV body. It holds integer violation counts, so
+# it pins the separation test's exactness on 6 x 10^6 rows.
+CRIT5_SHA256 = "c738072c4afe577f50a16bb7ef8978b85e485f3ca4d1e2740d51c30254902f98"
+
+
 def test_criterion_05_separation_probability_bound():
-    _, checks = cached("crit5", crit5_pipeline)
+    body, checks = cached("crit5", crit5_pipeline)
     ok = all(est.proportion <= bound + 3 * est.std_error
              for _, _, est, bound in checks)
     margin = min(bound - est.proportion for _, _, est, bound in checks)
     report(5, ok, f"P[not separated] <= 2 d^2 delta + 3se on 10^6 samples; "
                   f"smallest slack {margin:.3e}")
     assert ok
+    assert hashlib.sha256(body.encode()).hexdigest() == CRIT5_SHA256
 
 
 # ----------------------------------------------------------------------

@@ -400,6 +400,8 @@ class TestSeparation:
         ["--delta", "0.01", "--R", "nan"],
         ["--delta", "0.01", "--a", "inf"],
         ["--delta", "0.01", "--dist", "noise", "--noise-scale", "nan"],
+        # a + R overflows to inf
+        ["--d", "4", "--delta", "0.01", "--a", "1e308", "--R", "1e308"],
     ])
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flags):
         out = tmp_path / "sep.csv"

@@ -21,7 +21,7 @@ from maxnet import (
     sample_separated,
     wilson_interval,
 )
-from maxnet.sampling import _violation_mask
+from maxnet.sampling import _TILE_VALUES, _violation_mask
 
 MiB = 2**20
 
@@ -155,6 +155,10 @@ class TestSeparation:
         # zero denominator imposes nothing; ratio 0/5 is far from 1
         assert is_delta_separated([0.0, 5.0], 0.5)
 
+    def test_zero_width(self):
+        assert is_delta_separated([], 0.1)
+        np.testing.assert_array_equal(_violation_mask(np.empty((3, 0)), 0.1), [False] * 3)
+
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             is_delta_separated([1.0, 2.0], 0.0)
@@ -206,6 +210,44 @@ class TestSeparation:
         ]:
             np.testing.assert_array_equal(_violation_mask(X, delta), expected)
             np.testing.assert_array_equal(pairwise_violation_mask(X, delta), expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 33])
+    def test_tiles_match_pairwise_mask(self, d):
+        # Batches of one tile -1, one tile, one tile +1 and two tiles +1
+        # rows. The rows are separated, and every other row starts within
+        # delta of where the row before it ends, so a pair taken across two
+        # rows would flag them. The first and last rows of every tile get
+        # special values in up to two coordinates.
+        delta, rows = 1e-2, max(1, _TILE_VALUES // d)
+        rng = np.random.default_rng(d)
+        geo = (1 + 4 * delta) ** np.arange(d)
+        pool = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0]
+        for w in (1 + delta, 1 - delta):
+            pool += [w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)]
+        hits = 0
+        for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            X = np.where(np.arange(n)[:, None] % 2, geo[-1] * (1 + delta / 2) * geo, geo)
+            X = rng.permuted(X, axis=1)
+            edges = sorted({*range(0, n, rows), *range(rows - 1, n, rows), n - 1})
+            for i in edges:
+                cols = rng.choice(d, size=min(d, 2), replace=False)
+                X[i, cols] = rng.choice(pool, size=len(cols))
+            with np.errstate(invalid="ignore"):  # inf - inf
+                expected = pairwise_violation_mask(X, delta)
+                for Y in (X, np.asfortranarray(X), np.pad(X, ((0, 0), (0, 3)))[:, :d]):
+                    before = Y.copy()
+                    np.testing.assert_array_equal(_violation_mask(Y, delta), expected)
+                    assert bits(Y) == bits(before)
+            assert not np.delete(expected, edges).any()
+            hits += expected.sum()
+        assert hits or d == 1
+
+    def test_violation_prob_memory_is_about_one_shard(self):
+        # the 65536 x 32 shard itself takes 16 MiB
+        dist = DistributionSpec.uniform_box(32)
+        est, peak = traced_peak(estimate_violation_prob, dist, 1e-2, 65536)
+        assert est.n_samples == 65536
+        assert peak <= 20 * MiB
 
     def test_mask_memory_is_linear_in_d(self):
         # the pairwise form needs 4096 * 128 * 128 * 8 B = 537 MB per array
@@ -280,6 +322,8 @@ class TestDistributions:
             DistributionSpec.uniform_box(2, R=-1.0)
         with pytest.raises(ValueError):
             DistributionSpec.uniform_box(2, seed=-3)
+        with pytest.raises(ValueError, match="a \\+ R must be finite"):
+            DistributionSpec.uniform_box(4, a=1e308, R=1e308)
         for kind, field in [("uniform_box", "a"), ("uniform_box", "R"),
                             ("iid_plus_noise", "noise_scale")]:
             for value in (float("nan"), float("inf"), float("-inf")):
