@@ -36,6 +36,7 @@ from .sampling import (
     estimate_violation_prob,
     is_delta_separated,
     mc_l2_error,
+    mc_l2_errors,
     row_max,
     sample_separated,
     wilson_interval,
@@ -63,6 +64,7 @@ from .analysis import (
     kernel_direction,
     mantel_edge_threshold,
     parallelotope_floor,
+    parallelotope_floors,
 )
 from .training import (
     SweepCell,

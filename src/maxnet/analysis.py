@@ -17,11 +17,12 @@ explicit mean squared error floor 1/(120 d^4.5) over uniform [0,1]^d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .network import AffineLayer, FeedForwardNet, evaluate_batch
-from .sampling import DistributionSpec, ErrorEstimate, mc_l2_error, row_max
+from .sampling import DistributionSpec, ErrorEstimate, mc_l2_errors, row_max
 
 FLOOR_COEFF = 120.0  # mse >= 1 / (FLOOR_COEFF * d^4.5)
 RANK_TOL = 1e-10  # kernel_direction's rank tolerance, relative to max|W|
@@ -303,38 +304,65 @@ def kernel_constancy_deviation(
     return dev
 
 
+def parallelotope_floors(
+    nets: Sequence[FeedForwardNet],
+    n: int = 10**6,
+    seed: int = 0,
+) -> list[FloorReport]:
+    """Verify the kernel-direction error floor for narrow-first-layer nets
+    of one input dimension d.
+
+    For each net, builds the parallelotope from the first layer's kernel
+    and checks the network is constant along the kernel axis. Then it
+    estimates each net's true uniform cube error by Monte Carlo, all on one
+    sample stream (:func:`mc_l2_errors`), and compares it against
+    1/(120 d^4.5). Each report is that of :func:`parallelotope_floor` on the
+    net alone.
+    """
+    nets = list(nets)
+    if not nets:
+        raise ValueError("need at least one net")
+    checked = []
+    for net in nets:
+        d = net.input_dim
+        first = net.layers[0]
+        if first.out_width > d - 1:
+            raise ValueError(
+                f"first hidden layer must have at most d-1={d - 1} neurons, "
+                f"got {first.out_width}"
+            )
+        para = build_parallelotope(kernel_direction(first))
+        dev = kernel_constancy_deviation(net, para, seed=seed)
+        if dev > CONSTANCY_TOL:
+            raise ArithmeticError(
+                f"network varies by {dev} along its kernel direction"
+            )
+        checked.append((para, dev))
+    d = nets[0].input_dim
+    dist = DistributionSpec.uniform_box(d, seed=seed)
+    floor = error_floor(d)
+    return [
+        FloorReport(
+            parallelotope=para,
+            floor=floor,
+            empirical=est,
+            constancy_deviation=dev,
+            floor_respected=est.mean_sq_error >= floor - 3.0 * est.std_error,
+        )
+        for (para, dev), est in zip(checked, mc_l2_errors(nets, row_max, dist, n))
+    ]
+
+
 def parallelotope_floor(
     net: FeedForwardNet,
     n: int = 10**6,
     seed: int = 0,
 ) -> FloorReport:
-    """Verify the kernel-direction error floor for a narrow-first-layer net.
+    """Verify the kernel-direction error floor for a narrow-first-layer net:
+    the one-net case of :func:`parallelotope_floors`.
 
     Builds the parallelotope from the first layer's kernel, checks the
     network is constant along the kernel axis, estimates the true uniform
     cube error by Monte Carlo, and compares it against 1/(120 d^4.5).
     """
-    d = net.input_dim
-    first = net.layers[0]
-    if first.out_width > d - 1:
-        raise ValueError(
-            f"first hidden layer must have at most d-1={d - 1} neurons, "
-            f"got {first.out_width}"
-        )
-    kd = kernel_direction(first)
-    para = build_parallelotope(kd)
-    dev = kernel_constancy_deviation(net, para, seed=seed)
-    if dev > CONSTANCY_TOL:
-        raise ArithmeticError(
-            f"network varies by {dev} along its kernel direction"
-        )
-    dist = DistributionSpec.uniform_box(d, seed=seed)
-    est = mc_l2_error(net, row_max, dist, n)
-    floor = error_floor(d)
-    return FloorReport(
-        parallelotope=para,
-        floor=floor,
-        empirical=est,
-        constancy_deviation=dev,
-        floor_respected=est.mean_sq_error >= floor - 3.0 * est.std_error,
-    )
+    return parallelotope_floors([net], n=n, seed=seed)[0]

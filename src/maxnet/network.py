@@ -290,13 +290,38 @@ def _tiling(net: FeedForwardNet) -> tuple[int, int]:
     return stop, -(-rows // TILE_ROW_MULTIPLE) * TILE_ROW_MULTIPLE
 
 
+BIAS_BLOCK_VALUES = 8192
+"""Values of one block of rows in :func:`_add_bias`. numpy adds a bias to
+an (n, w) array with one call of its inner loop per row, so a narrow layer
+pays per row; a block of rows viewed as one long row is added in one call.
+Per 65536 rows (one thread, Xeon) the add took 0.04 ms against 0.39 ms at
+w = 2, 0.54 against 1.09 ms at w = 19 and 1.95 against 3.25 ms at w = 72.
+Blocks of 512 to 32768 values were within 2x of each other, 8192 the
+fastest."""
+
+
+def _add_bias(h: np.ndarray, b: np.ndarray) -> None:
+    """``h += b`` in place, bit for bit: a C-ordered h of at least one
+    block takes the bias through whole blocks of rows, each viewed as one
+    long row against the bias repeated along it, and the remainder rows as
+    they are. One column already runs as one long row."""
+    n, w = h.shape
+    rows = BIAS_BLOCK_VALUES // w
+    if w > 1 and rows > 1 and n >= rows and h.flags.c_contiguous:
+        whole = n - n % rows
+        blocks = h[:whole].reshape(-1, rows * w)  # a view: h is C-ordered
+        blocks += np.tile(b, rows)
+        h = h[whole:]
+    h += b
+
+
 def _forward(layers, h: np.ndarray, X: np.ndarray, first_row: int) -> np.ndarray:
     """Run ``layers`` on the activations h of the rows of X that start at
     ``first_row``; raise :class:`NumericOverflowError` with the input row
     of the first non-finite value at the first layer that makes one."""
     for layer in layers:
         h = h @ layer.matrix.T
-        h += layer.biases
+        _add_bias(h, layer.biases)
         if layer.apply_activation:
             np.maximum(h, 0.0, out=h)
         if not _all_finite(h, nonnegative=layer.apply_activation):
@@ -342,7 +367,9 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     if not _all_finite(X):
         raise ValueError("inputs must be finite")
     n = X.shape[0]
-    stop, rows = _tiling(net)
+    # a tile holds a positive multiple of TILE_ROW_MULTIPLE rows, so fewer
+    # than two such multiples make a single tile whatever the net
+    stop, rows = _tiling(net) if n >= 2 * TILE_ROW_MULTIPLE else (0, 0)
     if n < 2 * rows:  # a single tile: nothing to gain
         stop = 0
     h = X

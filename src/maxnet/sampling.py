@@ -4,21 +4,24 @@ Sampling is sharded: shard i of a run with root seed s draws from
 ``default_rng([s, i])``, so estimates are reproducible bit-for-bit. Shards
 run one after another and their sums are reduced in shard order.
 
-The Monte Carlo loop (``sample``, ``row_max``, ``mc_l2_error``) builds each
-result in the array it has just drawn or computed, and ``row_max`` folds
-narrow rows column by column, so a shard costs little beyond its arithmetic
-even when the net is tiny. The shard size fixes where the sample stream is
-cut, and with it the bits of every estimate. ``evaluate_batch`` splits a
-shard into cache-sized row tiles of its own when the net narrows after its
-widest layer, as the constructions do, so such a net's widest activation
-is never held for the whole shard.
+The Monte Carlo loop (``sample``, ``row_max``, ``mc_l2_errors``) builds
+each result in the array it has just drawn or computed, skips the steps of
+``sample`` that cannot change a bit (scaling by 1, adding 0), and
+``row_max`` folds narrow rows column by column over cache-sized row tiles,
+so a shard costs little beyond its arithmetic even when the net is tiny.
+``mc_l2_errors`` scores several nets on one stream, drawing each shard and
+its target once. The shard size fixes where the sample stream is cut, and
+with it the bits of every estimate. ``evaluate_batch`` splits a shard into
+cache-sized row tiles of its own when the net narrows after its widest
+layer, as the constructions do, so such a net's widest activation is never
+held for the whole shard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,8 +96,10 @@ class DistributionSpec:
         shape = (n, self.d)
         if self.kind == "uniform_box":
             X = rng.random(shape)
-            X *= self.R
-            X += self.a
+            if self.R != 1:  # x * 1 == x
+                X *= self.R
+            if self.a != 0:  # x + 0 == x + -0 == x, as u is never -0.0
+                X += self.a
             return X
         if self.kind == "gaussian_std":
             return rng.standard_normal(shape)
@@ -130,22 +135,26 @@ class ProportionEstimate:
     ci95: tuple[float, float]
 
 
-# widest row that row_max folds column by column
-_FOLD_MAX_D = 12
+# widest row that row_max folds column by column, and the values of one
+# of its row tiles (512 KiB, inside a 2 MiB L2)
+_ROW_MAX_D = 32
+_ROW_TILE_VALUES = 65536
 
 
 def row_max(X: np.ndarray) -> np.ndarray:
     """Row maxima of an (n, d) batch: ``np.max(X, axis=1)``, bit for bit.
 
     ``np.max`` runs its inner loop once per row, so at small d it pays per
-    row rather than per value. Up to d = 12 the maxima are folded column by
-    column instead: one ``np.maximum`` over all n rows per column. At 131072
-    rows (one thread, AVX-512) the fold took 0.7 ms against 10 ms at d = 3
-    and 7 ms against 11 ms at d = 12. Each column pass strides through the
-    whole batch, so once the batch leaves the cache the fold's cost grows
-    as n d^2: the two cross near d = 16, and at d = 32 the fold is 5x
-    slower. Folding halves first still lost to ``np.max`` from d = 20 on,
-    so wider rows keep ``np.max``.
+    row rather than per value. Up to d = 32 the maxima are folded column by
+    column instead, over row tiles of about 65536 values: one
+    ``np.maximum`` per column per tile, on strides that stay in cache. At
+    131072 rows (one thread, Xeon) the fold took 0.47 ms against 7.0 ms
+    for ``np.max`` at d = 3, 1.4 against 10.6 ms at d = 8 and 10.3 against
+    12.7 ms at d = 32; folding the whole batch per column took 3.5 ms at
+    d = 8 and 28.5 ms at d = 32, as each pass then strides out of the
+    cache. A batch of fewer rows than one tile, such as a 64-row training
+    minibatch, pays the fold's calls per column without the rows to spread
+    them over (9.7 us against 5.4 us at 64 x 10), so it takes ``np.max``.
 
     The fold finds the same maxima. Only the sign of a zero maximum and the
     payload of a NaN depend on the order in which the SIMD code of
@@ -154,11 +163,18 @@ def row_max(X: np.ndarray) -> np.ndarray:
     raises ``ValueError`` and NaN propagates, as with ``np.max``.
     """
     X = np.asarray(X)
-    if X.ndim != 2 or X.size == 0 or X.shape[1] > _FOLD_MAX_D:
+    if X.ndim != 2 or X.size == 0 or X.shape[1] > _ROW_MAX_D:
         return np.max(X, axis=1)
-    m = X[:, 0].copy()
-    for j in range(1, X.shape[1]):
-        np.maximum(m, X[:, j], out=m)
+    n, d = X.shape
+    rows = _ROW_TILE_VALUES // d
+    if n < rows:
+        return np.max(X, axis=1)
+    m = np.empty(n, dtype=X.dtype)
+    for start in range(0, n, rows):
+        T, t = X[start:start + rows], m[start:start + rows]
+        np.copyto(t, T[:, 0])
+        for j in range(1, d):
+            np.maximum(t, T[:, j], out=t)
     if not m.all() or np.isnan(m.max()):
         odd = ~(np.abs(m) > 0)
         m[odd] = np.max(X[odd], axis=1)
@@ -173,6 +189,8 @@ def row_max(X: np.ndarray) -> np.ndarray:
 #   d = 8:  3.77 / 3.73 / 4.37 / 5.55 / 8.81
 #   d = 32: 16.2 / 16.3 / 17.8 / 20.3 / 38.5
 _TILE_VALUES = 32768
+# widest row whose pair flags _violation_mask ORs column by column
+_FOLD_MAX_D = 12
 
 
 def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
@@ -274,35 +292,59 @@ def _net_width_hint(net: FeedForwardNet) -> int:
     return max(net.input_dim, max(layer.out_width for layer in net.layers))
 
 
-def mc_l2_error(
-    net: FeedForwardNet,
+def mc_l2_errors(
+    nets: Sequence[FeedForwardNet],
     target: Callable[[np.ndarray], np.ndarray],
     dist: DistributionSpec,
     n: int,
     seed: int | None = None,
     chunk: int | None = None,
-) -> ErrorEstimate:
-    """Unbiased Monte Carlo estimate of E[(net(x) - target(x))^2].
+) -> list[ErrorEstimate]:
+    """Unbiased Monte Carlo estimates of E[(net(x) - target(x))^2], one per
+    net, all on the same sample stream.
 
-    ``target`` maps an (n, d) batch to an (n,) vector. Deterministic given
+    ``target`` maps an (n, d) batch to an (n,) vector. Each shard and its
+    target values are made once and scored by every net in turn, and each
+    net's sums are reduced in shard order, so every estimate is bit for bit
+    that of :func:`mc_l2_error` on the net alone. Deterministic given
     (dist, seed); the chunk size is a fixed function of the network shape
-    so results do not depend on memory pressure.
+    so results do not depend on memory pressure. Nets whose default chunks
+    differ would cut the stream at different places, so without a
+    ``chunk`` they raise ``ValueError``.
     """
-    if net.input_dim != dist.d:
-        raise ValueError(f"net expects d={net.input_dim}, distribution has d={dist.d}")
+    nets = list(nets)
+    if not nets:
+        raise ValueError("need at least one net")
+    for net in nets:
+        if net.input_dim != dist.d:
+            raise ValueError(f"net expects d={net.input_dim}, distribution has d={dist.d}")
     if n < 2:
         raise ValueError("n must be >= 2")
     root = dist.seed if seed is None else seed
     if chunk is None:
-        chunk = _default_chunk(_net_width_hint(net))
-    s1 = s2 = 0.0
+        chunks = {_default_chunk(_net_width_hint(net)) for net in nets}
+        if len(chunks) > 1:
+            raise ValueError(
+                f"the nets' default chunks differ ({sorted(chunks)}); pass chunk"
+            )
+        (chunk,) = chunks
+    s1, s2 = [0.0] * len(nets), [0.0] * len(nets)
     for X in _shards(dist, n, chunk, root):
-        sq = evaluate_batch(net, X)  # a fresh array: the error, then its powers
-        sq -= target(X)
-        sq *= sq
-        s1 += float(sq.sum())
-        sq *= sq
-        s2 += float(sq.sum())
+        y = None
+        for k, net in enumerate(nets):
+            sq = evaluate_batch(net, X)  # a fresh array: the error, then its powers
+            if y is None:  # once evaluate_batch has freed its buffers
+                y = target(X)
+            sq -= y
+            sq *= sq
+            s1[k] += float(sq.sum())
+            sq *= sq
+            s2[k] += float(sq.sum())
+    return [_error_estimate(a, b, n) for a, b in zip(s1, s2)]
+
+
+def _error_estimate(s1: float, s2: float, n: int) -> ErrorEstimate:
+    """Mean, standard error and 95% CI from the sums of e^2 and e^4."""
     mean = s1 / n
     var = max(0.0, (s2 - n * mean * mean) / (n - 1))
     se = (var / n) ** 0.5
@@ -312,6 +354,19 @@ def mc_l2_error(
         n_samples=n,
         ci95=(mean - Z95 * se, mean + Z95 * se),
     )
+
+
+def mc_l2_error(
+    net: FeedForwardNet,
+    target: Callable[[np.ndarray], np.ndarray],
+    dist: DistributionSpec,
+    n: int,
+    seed: int | None = None,
+    chunk: int | None = None,
+) -> ErrorEstimate:
+    """Unbiased Monte Carlo estimate of E[(net(x) - target(x))^2]: the
+    one-net case of :func:`mc_l2_errors`."""
+    return mc_l2_errors([net], target, dist, n, seed=seed, chunk=chunk)[0]
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:

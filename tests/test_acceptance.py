@@ -39,7 +39,7 @@ from maxnet import (
     mantel_edge_threshold,
     max_k_for_width_bound,
     mc_l2_error,
-    parallelotope_floor,
+    parallelotope_floors,
     q1_transform,
     q1_transform_grid,
     quadrature_transform_oracle,
@@ -90,13 +90,21 @@ def crit1_pipeline():
     return csv_text(header, rows), checks
 
 
+# sha256 of the CSV body of criterion 1. Criteria 1, 4, 8 and 9 pin their
+# bodies as criterion 5 does, so a speed-up of the Monte Carlo path must
+# leave every estimate's bits as they are; each body hashes the same on one
+# and on two BLAS threads.
+CRIT1_SHA256 = "16d7a5442497dd759582b478d83a645e3b39236ad0e31dd8170ee71aebbb785d"
+
+
 def test_criterion_01_depth3_error_guarantee():
     eps = 1e-4
-    _, checks = cached("crit1", crit1_pipeline)
+    body, checks = cached("crit1", crit1_pipeline)
     worst = max(est.mean_sq_error for _, est in checks)
     ok = all(est.mean_sq_error <= eps + 3 * est.std_error for _, est in checks)
     report(1, ok, f"mse <= 1e-4 (+3se) for d in 2..32; worst observed {worst:.3e}")
     assert ok
+    assert hashlib.sha256(body.encode()).hexdigest() == CRIT1_SHA256
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +189,11 @@ def crit4_pipeline():
     return csv_text(header, rows), (e0, checks)
 
 
+CRIT4_SHA256 = "5355f50a0295a086d15e3ff19adaba000e03b6364651def101ad72a62b71910b"
+
+
 def test_criterion_04_rescaling_law():
-    _, (e0, checks) = cached("crit4", crit4_pipeline)
+    body, (e0, checks) = cached("crit4", crit4_pipeline)
     ok = True
     details = []
     for R, a, est in checks:
@@ -192,6 +203,7 @@ def test_criterion_04_rescaling_law():
         details.append(f"R={R:g},a={a:g}: {est.mean_sq_error:.3e}~{R*R*e0.mean_sq_error:.3e}")
     report(4, ok, "rescaled error matches R^2 x base within 95% CIs: " + "; ".join(details))
     assert ok
+    assert hashlib.sha256(body.encode()).hexdigest() == CRIT4_SHA256
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +370,9 @@ def crit8_pipeline():
         rng = np.random.default_rng([SEED + 800, d])
         nets = [("random", i, _random_narrow_net(rng, d)) for i in range(50)]
         nets.append(("trained", 50, _best_trained_narrow(d, SEED + 810 + d)))
-        for kind, idx, net in nets:
-            fr = parallelotope_floor(net, n=n, seed=SEED + 820 + d)
+        reports = parallelotope_floors([net for _, _, net in nets], n=n,
+                                       seed=SEED + 820 + d)
+        for (kind, idx, _), fr in zip(nets, reports):
             rows.append([d, idx, kind, repr(fr.empirical.mean_sq_error),
                          repr(fr.empirical.std_error), repr(fr.floor),
                          repr(fr.constancy_deviation), fr.floor_respected])
@@ -369,8 +382,11 @@ def crit8_pipeline():
     return csv_text(header, rows), checks
 
 
+CRIT8_SHA256 = "39e48f5212b82a87daacc93935fa71436953488de7250522251a2c023c6d36a8"
+
+
 def test_criterion_08_narrow_first_layer_floor():
-    _, checks = cached("crit8", crit8_pipeline)
+    body, checks = cached("crit8", crit8_pipeline)
     ok = all(fr.floor_respected and fr.constancy_deviation <= 1e-9
              for _, _, fr in checks)
     trained = [fr.empirical.mean_sq_error / fr.floor
@@ -379,6 +395,7 @@ def test_criterion_08_narrow_first_layer_floor():
                   f"and mse >= 1/(120 d^4.5) - 3se in 100% of cases; trained nets "
                   f"sit {min(trained):.1f}x..{max(trained):.1f}x above the floor")
     assert ok
+    assert hashlib.sha256(body.encode()).hexdigest() == CRIT8_SHA256
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +427,11 @@ def crit9_pipeline():
     return csv_text(header, rows), (best, est_c)
 
 
+CRIT9_SHA256 = "6ae479ffa33651725c40a8afc1547010274e30e1dd671091b00f1332ac43b9cb"
+
+
 def test_criterion_09_qualitative_separation_sweep():
-    _, (best, est_c) = cached("crit9", crit9_pipeline)
+    body, (best, est_c) = cached("crit9", crit9_pipeline)
     se_c = est_c.std_error
     ok = True
     ratios = []
@@ -425,6 +445,7 @@ def test_criterion_09_qualitative_separation_sweep():
                   + " ".join(ratios))
     assert ok
     assert len(best) == 6
+    assert hashlib.sha256(body.encode()).hexdigest() == CRIT9_SHA256
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from maxnet import (
     kernel_direction,
     mantel_edge_threshold,
     parallelotope_floor,
+    parallelotope_floors,
 )
 from maxnet import analysis
 from maxnet.analysis import kernel_constancy_deviation
@@ -266,6 +267,24 @@ class TestParallelotopeFloor:
         assert report.empirical.mean_sq_error == pytest.approx(0.0292, abs=2e-3)
         assert report.empirical.mean_sq_error >= error_floor(4)
         assert report.floor_respected
+
+    def test_many_nets_match_one_net_calls(self):
+        rng = np.random.default_rng(11)
+        d = 6
+        nets = [narrow_net(rng, d, first_width=w, deep=w % 2 == 0) for w in (1, 2, 3, 5)]
+        got = parallelotope_floors(nets, n=40_000, seed=12)
+        want = [parallelotope_floor(net, n=40_000, seed=12) for net in nets]
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.empirical == w.empirical
+            assert g.constancy_deviation == w.constancy_deviation
+            assert g.floor == w.floor and g.floor_respected == w.floor_respected
+            assert g.parallelotope.perm == w.parallelotope.perm
+            np.testing.assert_array_equal(g.parallelotope.P, w.parallelotope.P)
+        with pytest.raises(ValueError):
+            parallelotope_floors([], n=1000)
+        with pytest.raises(ValueError):
+            parallelotope_floors([nets[0], narrow_net(rng, 5, first_width=2)], n=1000)
 
     def test_floor_value(self):
         assert error_floor(3) == pytest.approx(5.94e-5, rel=2e-3)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,51 @@ def one_pass(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
         if layer.apply_activation:
             np.maximum(h, 0.0, out=h)
     return h[:, 0]
+
+
+class TestBiasBlocks:
+    """_forward adds a C-ordered layer's bias through blocks of rows viewed
+    as long rows; the sums must be those of h @ W.T + b."""
+
+    @pytest.mark.parametrize("w", range(1, 81))
+    def test_dense_layers_match_plain_add(self, w):
+        rng = np.random.default_rng(w)
+        rows = max(1, network.BIAS_BLOCK_VALUES // w)
+        W, b = rng.standard_normal((w, 3)), rng.standard_normal(w)
+        for n in (rows - 1, rows + 1, 3 * rows + 5):
+            X = rng.standard_normal((n, 3))
+            layer = AffineLayer(W, b, apply_activation=False)
+            got = network._forward([layer], X, X, 0)
+            assert got.tobytes() == (X @ W.T + b).tobytes(), n
+            relu = network._forward([AffineLayer(W, b)], X, X, 0)
+            assert relu.tobytes() == np.maximum(X @ W.T + b, 0.0).tobytes(), n
+
+    @pytest.mark.parametrize("w", [1, 2, 7, 33, 80])
+    def test_csr_products_match_plain_add(self, w):
+        from scipy import sparse
+
+        rng = np.random.default_rng(100 + w)
+        m = sparse.random_array((w, 40), density=0.3, format="csr", rng=rng)
+        b = rng.standard_normal(w)
+        layer = types.SimpleNamespace(matrix=m, biases=b, apply_activation=False)
+        n = 3 * max(1, network.BIAS_BLOCK_VALUES // w) + 5
+        X = rng.standard_normal((n, 40))
+        want = X @ m.T + b
+        assert network._forward([layer], X, X, 0).tobytes() == want.tobytes()
+        for h in (np.ascontiguousarray(X @ m.T), np.asfortranarray(X @ m.T)):
+            network._add_bias(h, b)
+            assert h.tobytes() == want.tobytes()
+
+    def test_evaluate_batch_matches_plain_layers(self):
+        rng = np.random.default_rng(3)
+        net = random_net(rng, d=4, widths=(2, 30))
+        X = rng.random((9001, 4))
+        h = X
+        for layer in net.layers:
+            h = h @ layer.weights.T + layer.biases
+            if layer.apply_activation:
+                h = np.maximum(h, 0.0)
+        assert evaluate_batch(net, X).tobytes() == h[:, 0].tobytes()
 
 
 TILE_NETS = {

@@ -17,11 +17,12 @@ from maxnet import (
     exact_max_tree,
     is_delta_separated,
     mc_l2_error,
+    mc_l2_errors,
     row_max,
     sample_separated,
     wilson_interval,
 )
-from maxnet.sampling import _TILE_VALUES, _violation_mask
+from maxnet.sampling import _ROW_TILE_VALUES, _TILE_VALUES, _violation_mask
 
 MiB = 2**20
 
@@ -132,14 +133,47 @@ class TestRowMax:
         assert bits(X) == bits(before)
 
     def test_matches_np_max_on_long_batches(self):
-        # enough rows for numpy's vector loops and their remainders
+        # 64-row training minibatches, and enough rows for numpy's vector
+        # loops and their remainders
         rng = np.random.default_rng(3)
         pool = np.array(ROW_MAX_VALUES + (0.5, -0.5, 2.0))
-        for d in range(1, 65):
-            X = pool[rng.integers(0, len(pool), size=(4099, d))]
-            assert bits(row_max(X)) == bits(np.max(X, axis=1)), d
-            X = rng.standard_normal((4099, d))
-            assert bits(row_max(X)) == bits(np.max(X, axis=1)), d
+        for n in (64, 4099):
+            for d in range(1, 65):
+                X = pool[rng.integers(0, len(pool), size=(n, d))]
+                assert bits(row_max(X)) == bits(np.max(X, axis=1)), (n, d)
+                X = rng.standard_normal((n, d))
+                assert bits(row_max(X)) == bits(np.max(X, axis=1)), (n, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 12, 13, 32, 33])
+    def test_tiles_match_np_max(self, d):
+        # batches of one tile -1, one tile and one tile +1 rows, with zero
+        # and NaN maxima of both signs in the first and last row of every
+        # tile, where the fold and np.max differ in sign or payload
+        rows = _ROW_TILE_VALUES // d
+        rng = np.random.default_rng(d)
+        for n in (rows - 1, rows, rows + 1, 3 * rows + 1):
+            X = rng.standard_normal((n, d))
+            for start in range(0, n, rows):
+                first, last = start, min(start + rows, n) - 1
+                for r, pair in ((first, (-0.0, 0.0)), (last, (-np.nan, np.nan))):
+                    X[r] = -rng.random(d) - 1
+                    X[r, [r % d, (r + 1) % d]] = pair
+            X[1] = -np.abs(X[1])
+            X[1, 0] = 0.0
+            assert bits(row_max(X)) == bits(np.max(X, axis=1)), (d, n)
+
+    @pytest.mark.parametrize("d", [3, 12, 32])
+    def test_strided_batches_are_read_not_written(self, d):
+        rows = _ROW_TILE_VALUES // d
+        rng = np.random.default_rng(50 + d)
+        base = rng.standard_normal((2 * rows + 3, 2 * d))
+        base[::7, ::2] = -np.abs(base[::7, ::2])
+        base[::7, 2] = -0.0
+        base[5, 4] = np.nan
+        for X in (np.asfortranarray(base[:, :d]), base[:, ::2], base[::2, :d]):
+            before = X.copy()
+            assert bits(row_max(X)) == bits(np.max(X, axis=1))
+            assert bits(X) == bits(before)
 
     def test_empty_and_zero_width(self):
         assert row_max(np.empty((0, 5))).shape == (0,)
@@ -304,6 +338,13 @@ class TestDistributions:
         assert got.flags.writeable and got.flags.owndata
         assert not np.shares_memory(got, again)
 
+    @pytest.mark.parametrize("a, R", [(0.0, 1.0), (-0.0, 1.0), (0.0, 2.5), (-1.0, 1.0), (3.0, 1e-3)])
+    def test_box_steps_skipped_only_where_exact(self, a, R):
+        spec = DistributionSpec.uniform_box(4, a=a, R=R)
+        want = a + R * np.random.default_rng(22).random((3001, 4))
+        got = spec.sample(3001, np.random.default_rng(22))
+        assert got.tobytes() == want.tobytes()
+
     def test_uniform_box_range(self):
         spec = DistributionSpec.uniform_box(2, a=-1.0, R=3.0, seed=0)
         X = spec.sample(1000, np.random.default_rng(0))
@@ -422,6 +463,53 @@ class TestMcL2Error:
         est, peak = traced_peak(mc_l2_error, net, row_max, dist, 131072)
         assert est.n_samples == 131072
         assert peak < 42 * MiB
+
+    def test_many_nets_match_one_net_calls(self):
+        # one stream, several nets: each estimate is that of its own call,
+        # with full shards and a remainder shard, and the target drawn once
+        rng = np.random.default_rng(7)
+        d = 5
+        nets = [depth3_max(d, 50.0), constant_net(d, 0.6), exact_max_tree(d)]
+        for widths in ((3,), (4, 9), (1,)):
+            dims = [d, *widths, 1]
+            nets.append(FeedForwardNet(input_dim=d, layers=tuple(
+                AffineLayer(rng.standard_normal((o, i)), rng.standard_normal(o),
+                            apply_activation=o_idx < len(widths))
+                for o_idx, (i, o) in enumerate(zip(dims[:-1], dims[1:]))
+            )))
+        dist = DistributionSpec.uniform_box(d, a=-0.5, R=2.0, seed=9)
+        calls = []
+
+        def target(X):
+            calls.append(len(X))
+            return row_max(X)
+
+        got = mc_l2_errors(nets, target, dist, 20_001, chunk=4096)
+        assert calls == [4096] * 4 + [3617]
+        want = [mc_l2_error(net, row_max, dist, 20_001, chunk=4096) for net in nets]
+        assert got == want
+        got = mc_l2_errors(nets[1:], row_max, dist, 5000, seed=3)
+        assert got == [mc_l2_error(net, row_max, dist, 5000, seed=3) for net in nets[1:]]
+
+    def test_mismatched_default_chunks_raise(self):
+        # widths 10 and 100 give default chunks of 131072 and 83886 rows
+        dist = DistributionSpec.uniform_box(3, seed=1)
+        rng = np.random.default_rng(8)
+        nets = [
+            FeedForwardNet(input_dim=3, layers=(
+                AffineLayer(rng.standard_normal((w, 3)), rng.standard_normal(w)),
+                AffineLayer(rng.standard_normal((1, w)), [0.0], apply_activation=False),
+            ))
+            for w in (10, 100)
+        ]
+        with pytest.raises(ValueError, match="chunk"):
+            mc_l2_errors(nets, row_max, dist, 1000)
+        got = mc_l2_errors(nets, row_max, dist, 1000, chunk=300)
+        assert got == [mc_l2_error(net, row_max, dist, 1000, chunk=300) for net in nets]
+        with pytest.raises(ValueError):
+            mc_l2_errors([], row_max, dist, 1000)
+        with pytest.raises(ValueError):
+            mc_l2_errors([nets[0], exact_max_tree(4)], row_max, dist, 1000)
 
     def test_ci_invariant(self):
         dist = DistributionSpec.uniform_box(2, seed=4)
