@@ -44,12 +44,10 @@ from .sampling import (
 from .spectral import (
     SpectralPoint,
     dawson,
-    dawson_quadrature_oracle,
     direction_component,
     magnitude_bound,
     q1_transform,
     q1_transform_grid,
-    quadrature_transform_oracle,
     transform_direction_floor,
 )
 from .analysis import (

@@ -235,10 +235,6 @@ class Parallelotope:
     def det_abs(self) -> float:
         return abs(float(np.prod(np.diag(self.P))))
 
-    def det_formula(self) -> float:
-        d = self.d
-        return (1.0 / d) * (1.0 - 2.0 / d) ** (d - 1) * self.v1
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Map cube points (n, d) to input-coordinate points (n, d)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -246,13 +242,6 @@ class Parallelotope:
         out = np.empty_like(Y)
         out[:, list(self.perm)] = Y
         return out
-
-    def target_values(self, X: np.ndarray) -> np.ndarray:
-        """max over the image point, which is its first permuted coordinate:
-        1 - 1/d + v1 x1 / d."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        d = self.d
-        return 1.0 - 1.0 / d + self.v1 * X[:, 0] / d
 
 
 def build_parallelotope(kd: KernelDirection) -> Parallelotope:

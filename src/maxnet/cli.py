@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -188,14 +189,19 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
-        raise ValueError("grid must look like start:stop:step") from exc
-    if step <= 0 or stop < start:
-        raise ValueError("grid requires step > 0 and stop >= start")
+        raise ValueError("--grid must look like start:stop:step") from exc
+    if not (math.isfinite(start) and math.isfinite(stop) and start <= stop
+            and 0 < step < math.inf):
+        raise ValueError("--grid requires finite start <= stop and 0 < step < inf")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 
 
 def cmd_spectral(args) -> int:
+    if args.d < 1:
+        raise ValueError("--d must be at least 1")
+    if not math.isfinite(args.threshold):
+        raise ValueError("--threshold must be finite")
     axis = _parse_grid(args.grid)
     grids = np.meshgrid(*([axis] * args.d), indexing="ij")
     Xi = np.column_stack([g.ravel() for g in grids])
@@ -219,6 +225,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.restarts < 1:
+        raise ValueError("--restarts must be at least 1")
     widths = [int(w) for w in args.widths.split(",")]
     dist = DistributionSpec.uniform_box(args.d, seed=args.seed)
     cells = width_sweep(

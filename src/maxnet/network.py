@@ -347,11 +347,9 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     are whole blocks of the gemm kernels' rows, large enough to skip the
     small-matrix kernels, and CSR products sum each row on its own, so
     with a single-threaded BLAS the result is bit for bit that of one
-    pass. A multithreaded OpenBLAS splits a product's rows among threads
-    at places that depend on the row count, so a few rows of some nets can
-    then differ from one pass in their last bits, as they already differ
-    between thread counts; the constructions' outputs were found
-    unchanged on two threads.
+    pass. On two threads OpenBLAS's bits can change with the thread count
+    and the row count, in gemm and gemv products alike (README, "Notes on
+    numerics"); the constructions' outputs were found unchanged.
 
     On overflow, ``NumericOverflowError.sample`` is the input row of the
     first non-finite value of the first tile that makes one, at the first

@@ -292,13 +292,16 @@ def _net_width_hint(net: FeedForwardNet) -> int:
     return max(net.input_dim, max(layer.out_width for layer in net.layers))
 
 
+VIOLATION_CHUNK = 65536  # rows per shard of estimate_violation_prob
+SEPARATED_MAX_ROUNDS = 200  # rounds of sample_separated before it gives up
+
+
 def mc_l2_errors(
     nets: Sequence[FeedForwardNet],
     target: Callable[[np.ndarray], np.ndarray],
     dist: DistributionSpec,
     n: int,
     seed: int | None = None,
-    chunk: int | None = None,
 ) -> list[ErrorEstimate]:
     """Unbiased Monte Carlo estimates of E[(net(x) - target(x))^2], one per
     net, all on the same sample stream.
@@ -309,8 +312,8 @@ def mc_l2_errors(
     that of :func:`mc_l2_error` on the net alone. Deterministic given
     (dist, seed); the chunk size is a fixed function of the network shape
     so results do not depend on memory pressure. Nets whose default chunks
-    differ would cut the stream at different places, so without a
-    ``chunk`` they raise ``ValueError``.
+    differ would cut the stream at different places, so they raise
+    ``ValueError``.
     """
     nets = list(nets)
     if not nets:
@@ -321,13 +324,13 @@ def mc_l2_errors(
     if n < 2:
         raise ValueError("n must be >= 2")
     root = dist.seed if seed is None else seed
-    if chunk is None:
-        chunks = {_default_chunk(_net_width_hint(net)) for net in nets}
-        if len(chunks) > 1:
-            raise ValueError(
-                f"the nets' default chunks differ ({sorted(chunks)}); pass chunk"
-            )
-        (chunk,) = chunks
+    chunks = {_default_chunk(_net_width_hint(net)) for net in nets}
+    if len(chunks) > 1:
+        raise ValueError(
+            f"the nets' default chunks differ ({sorted(chunks)}); "
+            "score them in separate calls"
+        )
+    (chunk,) = chunks
     s1, s2 = [0.0] * len(nets), [0.0] * len(nets)
     for X in _shards(dist, n, chunk, root):
         y = None
@@ -362,11 +365,10 @@ def mc_l2_error(
     dist: DistributionSpec,
     n: int,
     seed: int | None = None,
-    chunk: int | None = None,
 ) -> ErrorEstimate:
     """Unbiased Monte Carlo estimate of E[(net(x) - target(x))^2]: the
     one-net case of :func:`mc_l2_errors`."""
-    return mc_l2_errors([net], target, dist, n, seed=seed, chunk=chunk)[0]
+    return mc_l2_errors([net], target, dist, n, seed=seed)[0]
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
@@ -385,7 +387,6 @@ def estimate_violation_prob(
     delta: float,
     n: int,
     seed: int | None = None,
-    chunk: int = 65536,
 ) -> ProportionEstimate:
     """Monte Carlo estimate of P[X not delta-separated] with a Wilson CI."""
     if not delta > 0:
@@ -394,7 +395,8 @@ def estimate_violation_prob(
         raise ValueError("n must be >= 1")
     root = dist.seed if seed is None else seed
     hits = sum(
-        int(_violation_mask(X, delta).sum()) for X in _shards(dist, n, chunk, root)
+        int(_violation_mask(X, delta).sum())
+        for X in _shards(dist, n, VIOLATION_CHUNK, root)
     )
     p = hits / n
     se = (p * (1 - p) / n) ** 0.5
@@ -408,7 +410,6 @@ def sample_separated(
     delta: float,
     n: int,
     seed: int | None = None,
-    max_draws: int = 200,
 ) -> np.ndarray:
     """Rejection-sample n points conditioned on delta-separation."""
     if not delta > 0:
@@ -417,7 +418,7 @@ def sample_separated(
     m = max(n, 1024)
     kept: list[np.ndarray] = []
     total = 0
-    for X in _shards(dist, max_draws * m, m, root):
+    for X in _shards(dist, SEPARATED_MAX_ROUNDS * m, m, root):
         X = X[~_violation_mask(X, delta)]
         kept.append(X)
         total += len(X)
@@ -426,6 +427,6 @@ def sample_separated(
     else:
         raise RuntimeError(
             f"rejection sampling did not reach {n} separated points "
-            f"in {max_draws} rounds; delta={delta} may be too large"
+            f"in {SEPARATED_MAX_ROUNDS} rounds; delta={delta} may be too large"
         )
     return np.concatenate(kept)[:n]

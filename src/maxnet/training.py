@@ -42,8 +42,10 @@ class TrainConfig:
         object.__setattr__(self, "arch", tuple(self.arch))
         if self.d < 1 or not self.arch or any(w < 1 for w in self.arch):
             raise ValueError("d and every hidden width must be positive")
-        if self.lr <= 0 or self.batch < 1 or self.steps < 1:
-            raise ValueError("lr, batch, steps must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
+        if self.batch < 1 or self.steps < 1:
+            raise ValueError("batch and steps must be positive")
         if self.dist.d != self.d:
             raise ValueError("distribution dimension must match d")
 

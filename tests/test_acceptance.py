@@ -25,7 +25,6 @@ from maxnet import (
     best_cells,
     build_weight_graph,
     dawson,
-    dawson_quadrature_oracle,
     deep_max,
     deep_shape,
     depth3_max,
@@ -42,7 +41,6 @@ from maxnet import (
     parallelotope_floors,
     q1_transform,
     q1_transform_grid,
-    quadrature_transform_oracle,
     rescale_to_box,
     row_max,
     sample_separated,
@@ -52,6 +50,7 @@ from maxnet import (
 )
 from maxnet.cli import csv_text
 from maxnet.training import TrainConfig
+from spectral_oracles import dawson_quadrature_oracle, quadrature_transform_oracle
 
 pytestmark = pytest.mark.acceptance
 

@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import maxnet
 from maxnet import AffineLayer, FeedForwardNet, cli, load, save, stats
 from maxnet.cli import main
 
@@ -369,6 +373,20 @@ class TestSpectral:
         by_xi = {float(r[0]): r[4] for r in rows}
         assert by_xi[6.0] == "" and by_xi[8.0] != ""
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--d", "0", "--grid", "0:1:1"], "--d"),
+        (["--d", "1", "--grid", "nan:1:1"], "--grid"),
+        (["--d", "1", "--grid", "0:inf:1"], "--grid"),
+        (["--d", "1", "--grid", "0:1:inf"], "--grid"),
+        (["--d", "1", "--grid", "0:1:1", "--threshold", "nan"], "--threshold"),
+        (["--d", "1", "--grid", "0:1:1", "--threshold=-inf"], "--threshold"),
+    ])
+    def test_bad_flag_exits_2_and_is_named(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "grid.csv"
+        code, _, err = run(["spectral", *flags, "--out", str(out)], capsys)
+        assert code == 2 and named in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_row_count_and_byte_identical_rerun(self, tmp_path, capsys):
@@ -381,6 +399,20 @@ class TestSweep:
         assert len(first.decode().strip().splitlines()) == 3
         run(args, capsys)
         assert (tmp_path / "sweep.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--lr", "nan"], "lr"),
+        (["--lr", "inf"], "lr"),
+        (["--lr", "0"], "lr"),
+        (["--restarts", "0"], "--restarts"),
+    ])
+    def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(["sweep", "--depth", "2", "--d", "2", "--widths", "2",
+                            "--n", "200", "--seed", "0", "--steps", "5", *flags,
+                            "--out", str(out)], capsys)
+        assert code == 2 and named in err
+        assert not out.exists()
 
 
 class TestSeparation:
@@ -409,6 +441,20 @@ class TestSeparation:
                             "--seed", "3", "--out", str(out)], capsys)
         assert code == 2 and "must be" in err
         assert not out.exists()
+
+
+class TestImportCost:
+    def test_import_loads_no_scipy(self):
+        # scipy.special and scipy.sparse are imported where they are first
+        # needed, so a command that needs neither does not pay for them
+        src = os.path.dirname(os.path.dirname(maxnet.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, maxnet.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestManifestStability:

@@ -22,7 +22,12 @@ from maxnet import (
     sample_separated,
     wilson_interval,
 )
-from maxnet.sampling import _ROW_TILE_VALUES, _TILE_VALUES, _violation_mask
+from maxnet.sampling import (
+    _ROW_TILE_VALUES,
+    _TILE_VALUES,
+    VIOLATION_CHUNK,
+    _violation_mask,
+)
 
 MiB = 2**20
 
@@ -484,9 +489,10 @@ class TestMcL2Error:
             calls.append(len(X))
             return row_max(X)
 
-        got = mc_l2_errors(nets, target, dist, 20_001, chunk=4096)
-        assert calls == [4096] * 4 + [3617]
-        want = [mc_l2_error(net, row_max, dist, 20_001, chunk=4096) for net in nets]
+        # every net's default chunk is 131072 rows: one full shard and a remainder
+        got = mc_l2_errors(nets, target, dist, 140_001)
+        assert calls == [131072, 8929]
+        want = [mc_l2_error(net, row_max, dist, 140_001) for net in nets]
         assert got == want
         got = mc_l2_errors(nets[1:], row_max, dist, 5000, seed=3)
         assert got == [mc_l2_error(net, row_max, dist, 5000, seed=3) for net in nets[1:]]
@@ -504,8 +510,6 @@ class TestMcL2Error:
         ]
         with pytest.raises(ValueError, match="chunk"):
             mc_l2_errors(nets, row_max, dist, 1000)
-        got = mc_l2_errors(nets, row_max, dist, 1000, chunk=300)
-        assert got == [mc_l2_error(net, row_max, dist, 1000, chunk=300) for net in nets]
         with pytest.raises(ValueError):
             mc_l2_errors([], row_max, dist, 1000)
         with pytest.raises(ValueError):
@@ -566,14 +570,16 @@ class TestSampleSeparated:
     def test_gives_up_on_impossible_delta(self):
         dist = DistributionSpec.uniform_box(2, seed=8)
         with pytest.raises(RuntimeError):
-            sample_separated(dist, 5.0, 100, max_draws=3)
+            sample_separated(dist, 5.0, 100)
 
 
 class TestShardContract:
     """Shard i of a run with root seed r holds the next min(chunk, rows left)
-    draws of default_rng([r, i]); shards are reduced in shard order."""
+    draws of default_rng([r, i]); shards are reduced in shard order. N is
+    above the largest default chunk (131072 rows), so each run ends in a
+    remainder shard."""
 
-    N, CHUNK, ROOT = 50_000, 8192, 11
+    N, ROOT = 140_000, 11
 
     def shards(self, dist, n, chunk):
         full, rem = divmod(n, chunk)
@@ -584,25 +590,26 @@ class TestShardContract:
         "estimator", ["mc_l2_error", "estimate_violation_prob", "sample_separated"]
     )
     def test_estimators_match_a_hand_written_shard_loop(self, estimator):
-        n, chunk = self.N, self.CHUNK
-        assert n % chunk  # a remainder shard
+        n = self.N
+        assert n % 131072 and n % VIOLATION_CHUNK  # remainder shards
         if estimator == "mc_l2_error":
             dist = DistributionSpec.uniform_box(3, seed=1)
             net = depth3_max(3, 100.0)
             s1 = s2 = 0.0
-            for X in self.shards(dist, n, chunk):
+            for X in self.shards(dist, n, 131072):  # depth3_max(3)'s default chunk
                 err = evaluate_batch(net, X) - row_max(X)
                 sq = err * err
                 s1 += float(sq.sum())
                 s2 += float((sq * sq).sum())
-            est = mc_l2_error(net, row_max, dist, n, seed=self.ROOT, chunk=chunk)
+            est = mc_l2_error(net, row_max, dist, n, seed=self.ROOT)
             mean = s1 / n
             assert est.mean_sq_error == mean
             assert est.std_error == (max(0.0, (s2 - n * mean * mean) / (n - 1)) / n) ** 0.5
         elif estimator == "estimate_violation_prob":
             dist = DistributionSpec.gaussian_std(8, seed=1)
-            hits = sum(int(_violation_mask(X, 0.05).sum()) for X in self.shards(dist, n, chunk))
-            est = estimate_violation_prob(dist, 0.05, n, seed=self.ROOT, chunk=chunk)
+            hits = sum(int(_violation_mask(X, 0.05).sum())
+                       for X in self.shards(dist, n, VIOLATION_CHUNK))
+            est = estimate_violation_prob(dist, 0.05, n, seed=self.ROOT)
             assert 0 < hits < n
             assert est.proportion == hits / n
             assert est.ci95 == wilson_interval(hits, n)

@@ -5,6 +5,7 @@ adaptive integration of the defining integrals, never against themselves.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +13,18 @@ from hypothesis import given, strategies as st
 
 from maxnet import (
     dawson,
-    dawson_quadrature_oracle,
     direction_component,
     magnitude_bound,
     q1_transform,
     q1_transform_grid,
-    quadrature_transform_oracle,
     transform_direction_floor,
 )
-from maxnet.spectral import ConvergenceError, direction
+from maxnet.spectral import direction
+from spectral_oracles import (
+    ConvergenceError,
+    dawson_quadrature_oracle,
+    quadrature_transform_oracle,
+)
 
 
 class TestDawson:
@@ -37,9 +41,22 @@ class TestDawson:
         assert dawson(20.0) == pytest.approx(1 / 40 + 1 / 32000, abs=1e-6)
         assert dawson(20.0) == pytest.approx(dawson_quadrature_oracle(20.0), rel=1e-13)
 
-    @pytest.mark.parametrize("x", [0.1, 0.49, 0.5, 0.51, 3.0, 9.9, 10.0, 10.1, 30.0])
+    # 44.9 to 50: scipy's Faddeeva w_im switches to a continued fraction at 45
+    @pytest.mark.parametrize(
+        "x", [0.1, 0.49, 0.5, 0.51, 3.0, 9.9, 10.0, 10.1, 30.0, 44.9, 45.0, 45.1, 50.0]
+    )
     def test_branch_seams_match_quadrature(self, x):
         assert dawson(x) == pytest.approx(dawson_quadrature_oracle(x), rel=1e-12)
+
+    def test_small_arguments_match_exact_series(self):
+        # daw(x) = sum_n (-2)^n x^(2n+1) / (2n+1)!!, summed in exact rationals
+        for x in np.geomspace(1e-6, 0.5, 60):
+            X = Fraction(float(x))
+            term = total = X
+            for n in range(40):
+                term = term * -2 * X * X / (2 * n + 3)
+                total += term
+            assert dawson(float(x)) == pytest.approx(float(total), rel=1e-13)
 
     @given(x=st.floats(-50, 50, allow_nan=False))
     def test_odd_exactly_as_implemented(self, x):
@@ -141,6 +158,14 @@ class TestDirectionFloor:
 
 
 class TestQuadratureOracle:
+    def test_dawson_oracle_refuses_unresolved_integral(self):
+        # at x = 200 quad misses the integrand's narrow peak at u = 0 and
+        # returns 1.2e-38 +- 2.3e-38, where daw(200) = 0.0025
+        with pytest.raises(ConvergenceError):
+            dawson_quadrature_oracle(200.0)
+        with pytest.raises(ConvergenceError):
+            dawson_quadrature_oracle(-200.0)
+
     def test_gaussian_moments_at_zero(self):
         assert quadrature_transform_oracle([0.0]).value == pytest.approx(2.0, rel=1e-10)
         assert quadrature_transform_oracle([0.0, 0.0]).value == pytest.approx(

@@ -132,6 +132,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(d=3, arch=(2,), dist=dist)  # dim mismatch
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+    def test_lr_must_be_positive_and_finite(self, lr):
+        dist = DistributionSpec.uniform_box(2, seed=0)
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(d=2, arch=(2,), dist=dist, lr=lr)
+
 
 class TestWidthSweep:
     def test_rows_and_determinism(self):
