@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 input/precondition error, 64 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import fcntl
 import io
 import json
 import math
@@ -122,16 +124,36 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _error_csv_body(path: str, header: str) -> str:
+    """The text of the error CSV at ``path``, or "" if there is none. A
+    non-empty file that does not start with ``header`` is refused."""
+    body = ""
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            body = fh.read()
+    if body and not body.startswith(header):
+        raise ValueError(f"{path} does not start with the error CSV header; not appending")
+    return body
+
+
+@contextlib.contextmanager
+def _directory_lock(path: str):
+    """Hold an exclusive ``flock`` on the directory of ``path``. The lock
+    creates no file, and it outlives ``atomic_write``'s replacement of the
+    file itself, which a lock on the replaced file would not."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
 def cmd_error(args) -> int:
     header = csv_text(
         ["d", "depth", "width", "alpha", "dist", "n", "mse", "ci_low", "ci_high", "seed"], []
     )
-    body = ""
-    if os.path.exists(args.out):
-        with open(args.out, "r", encoding="utf-8", newline="") as fh:
-            body = fh.read()
-    if body and not body.startswith(header):
-        raise ValueError(f"{args.out} does not start with the error CSV header; not appending")
+    _error_csv_body(args.out, header)  # refuse a foreign file before sampling
     net = load(args.net)
     dist = _dist_from_args(args)
     est = mc_l2_error(net, row_max, dist, args.n, seed=args.seed)
@@ -143,8 +165,12 @@ def cmd_error(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(row)
-    atomic_write(args.out, (body or header) + buf.getvalue())
-    write_manifest("error", vars(args), args.seed, [args.out])
+    # Read the file only now, under the lock, so that rows other runs
+    # appended while this one sampled are kept.
+    with _directory_lock(args.out):
+        body = _error_csv_body(args.out, header)
+        atomic_write(args.out, (body or header) + buf.getvalue())
+        write_manifest("error", vars(args), args.seed, [args.out])
     print(f"mse={est.mean_sq_error!r} ci=({est.ci95[0]!r}, {est.ci95[1]!r})")
     return 0
 
@@ -185,7 +211,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> np.ndarray:
+# Rows of the largest spectral grid. At d = 3 a row held about 0.9 KB until
+# the CSV was written (531441 rows peaked at 495 MiB RSS): ~3.7 GiB here.
+SPECTRAL_MAX_ROWS = 2**22
+
+
+def _parse_grid(text: str, d: int) -> np.ndarray:
+    """The axis of a start:stop:step grid, refused before it is built when
+    the d-dimensional grid would have more than SPECTRAL_MAX_ROWS rows."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
@@ -194,6 +227,12 @@ def _parse_grid(text: str) -> np.ndarray:
             and 0 < step < math.inf):
         raise ValueError("--grid requires finite start <= stop and 0 < step < inf")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    # count**d rows; the power stops at d = 64, as 2**64 is past the cap
+    if count ** min(d, 64) > SPECTRAL_MAX_ROWS:
+        raise ValueError(
+            f"--grid {text} gives {count}**{d} rows at --d {d}; "
+            f"at most {SPECTRAL_MAX_ROWS} are allowed"
+        )
     return start + step * np.arange(count)
 
 
@@ -202,7 +241,7 @@ def cmd_spectral(args) -> int:
         raise ValueError("--d must be at least 1")
     if not math.isfinite(args.threshold):
         raise ValueError("--threshold must be finite")
-    axis = _parse_grid(args.grid)
+    axis = _parse_grid(args.grid, args.d)
     grids = np.meshgrid(*([axis] * args.d), indexing="ij")
     Xi = np.column_stack([g.ravel() for g in grids])
     values = q1_transform_grid(Xi)

@@ -15,6 +15,14 @@ with it the bits of every estimate. ``evaluate_batch`` splits a shard into
 cache-sized row tiles of its own when the net narrows after its widest
 layer, as the constructions do, so such a net's widest activation is never
 held for the whole shard.
+
+The separation estimators never hold a whole shard either.
+``DistributionSpec.tiles`` fills one caller-owned tile after another with
+the rows ``sample`` would return, bit for bit, and each tile is sorted and
+tested in the buffers of one ``_TileTest`` while it is in cache. So
+``estimate_violation_prob`` needs O(tile) memory whatever n and d are, and
+``sample_separated`` O(kept rows + tile); ``iid_plus_noise`` adds its
+shard's corners, which its stream holds ahead of the noise.
 """
 
 from __future__ import annotations
@@ -90,26 +98,65 @@ class DistributionSpec:
         )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n fresh rows, built in place in the array just drawn. The steps
-        follow a + R u, base + scale (u - 1/2) and base + scale g operation
-        by operation, so the bits are those of the plain expressions."""
-        shape = (n, self.d)
+        """n fresh rows: :meth:`tiles` with one tile, drawn as a new array."""
+        return self._rows(rng, (n, self.d), None, self._corners(n, rng))
+
+    def tiles(
+        self, n: int, rng: np.random.Generator, out: np.ndarray
+    ) -> Iterator[np.ndarray]:
+        """The n rows of ``sample(n, rng)``, bit for bit and in order, built
+        tile by tile in ``out``, a caller-owned C-contiguous float64 buffer of
+        shape (rows, d) with rows >= 1. Each tile is a leading slice of
+        ``out``, overwritten by the next one.
+
+        ``Generator.random(out=)`` and ``standard_normal(out=)`` fill a tile
+        in stream order, so the tiles hold the stream that one whole draw
+        holds. ``iid_plus_noise`` draws the +-1 corners of all n rows first,
+        as its stream holds them ahead of the noise, so that law keeps
+        8 n d bytes of corners beside ``out``.
+        """
+        base = self._corners(n, rng)
+        rows = len(out)
+        for start in range(0, n, rows):
+            X = out[: min(rows, n - start)]
+            corners = None if base is None else base[start:start + len(X)]
+            yield self._rows(rng, None, X, corners)
+
+    def _corners(self, n: int, rng: np.random.Generator) -> np.ndarray | None:
+        """The +-1 corners of n rows of ``iid_plus_noise``, None for the
+        other laws."""
+        if self.kind != "iid_plus_noise":
+            return None
+        base = rng.integers(0, 2, size=(n, self.d)) * 2.0
+        base -= 1.0
+        return base
+
+    def _rows(
+        self,
+        rng: np.random.Generator,
+        shape: tuple[int, int] | None,
+        out: np.ndarray | None,
+        base: np.ndarray | None,
+    ) -> np.ndarray:
+        """Rows drawn into ``out``, or into a new array of ``shape`` when
+        ``out`` is None, and built there; ``base`` holds their corners. The
+        steps follow a + R u, base + scale (u - 1/2) and base + scale g
+        operation by operation, so the bits are those of the plain
+        expressions."""
         if self.kind == "uniform_box":
-            X = rng.random(shape)
+            X = rng.random(shape, out=out)
             if self.R != 1:  # x * 1 == x
                 X *= self.R
             if self.a != 0:  # x + 0 == x + -0 == x, as u is never -0.0
                 X += self.a
             return X
         if self.kind == "gaussian_std":
-            return rng.standard_normal(shape)
-        base = rng.integers(0, 2, size=shape) * 2.0
-        base -= 1.0
+            return rng.standard_normal(shape, out=out)
         if self.noise == "uniform":
-            X = rng.random(shape)
+            X = rng.random(shape, out=out)
             X -= 0.5
         else:
-            X = rng.standard_normal(shape)
+            X = rng.standard_normal(shape, out=out)
         X *= self.noise_scale
         X += base
         return X
@@ -221,27 +268,60 @@ def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
     and m are the same for (a, b) and (b, a), as rounding is symmetric, so
     a row of two values is tested as it stands; only wider rows are sorted.
 
-    Rows are taken in tiles of ``_TILE_VALUES`` values. Each tile is
-    flattened, so its neighbour pairs are two contiguous vectors; the pair
-    that joins the last value of one row to the first of the next is left
-    out of the per-row OR. m > 0 is tested before m is scaled, as delta m
-    can underflow to zero. The sort costs O(n d log d) time; memory beyond
-    the mask is a few tile-sized buffers, whatever n is.
+    Rows are copied, a tile of ``_TILE_VALUES`` values at a time, into the
+    buffer of one :class:`_TileTest`, so X is left unwritten. The sort costs
+    O(n d log d) time; memory beyond the mask is a few tile-sized buffers,
+    whatever n is.
     """
     n, d = X.shape
     mask = np.zeros(n, dtype=bool)
     if d < 2 or n == 0:
         return mask
-    rows = max(1, _TILE_VALUES // d)
-    size = min(rows, n) * d
-    a, m = np.empty(size), np.empty(size - 1)
-    pos, close = np.empty(size - 1, dtype=bool), np.empty(size, dtype=bool)
-    for start in range(0, n, rows):
-        T = X[start:start + rows]
-        r, k = len(T), len(T) * d
-        f = (np.sort(T, axis=1) if d > 2 else T).reshape(-1)
+    test = _TileTest(d, n)
+    for start in range(0, n, len(test.tile)):
+        T = X[start:start + len(test.tile)]
+        test.flag_copy(T, delta, mask[start:start + len(T)])
+    return mask
+
+
+class _TileTest:
+    """The separation test of row tiles of width d, in buffers allocated
+    once and reused by every tile. ``tile`` is the test's own buffer of
+    ``_TILE_VALUES`` values (one row, if a row is wider; at most n rows): a
+    caller may draw rows into it and test them there. Allocating the
+    buffers per tile, through ``_violation_mask``, took 0.44 s of CPU
+    against 0.25 s for the six estimates of the benchmark's ``separation``
+    workload (fresh processes, one thread, median of 6)."""
+
+    def __init__(self, d: int, n: int):
+        rows = min(max(1, _TILE_VALUES // d), n)
+        size = rows * d
+        self.tile = np.empty((rows, d))
+        self.a, self.m = np.empty(size), np.empty(size - 1)
+        self.pos = np.empty(size - 1, dtype=bool)
+        self.close = np.empty(size, dtype=bool)
+
+    def flag(self, S: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
+        """Set ``out[r]`` to whether row r of S is NOT delta-separated, and
+        return ``out``. S is a C-contiguous tile that the test may reorder:
+        rows wider than two are sorted in place, and a row of two values is
+        tested as it stands.
+
+        The tile is flattened, so its neighbour pairs are two contiguous
+        vectors; the pair that joins the last value of one row to the first
+        of the next is left out of the per-row OR. m > 0 is tested before m
+        is scaled, as delta m can underflow to zero.
+        """
+        r, d = S.shape
+        if d < 2:  # no pair to test
+            out.fill(False)
+            return out
+        if d > 2:
+            S.sort(axis=1)
+        k = r * d
+        f = S.reshape(-1)
+        a, mk, pk, ck = self.a, self.m[: k - 1], self.pos[: k - 1], self.close[: k - 1]
         np.abs(f, out=a[:k])
-        mk, pk, ck = m[: k - 1], pos[: k - 1], close[: k - 1]
         np.maximum(a[: k - 1], a[1:k], out=mk)
         np.greater(mk, 0, out=pk)
         t = np.subtract(f[1:], f[:-1], out=a[: k - 1])
@@ -249,8 +329,7 @@ def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
         mk *= delta
         np.less_equal(t, mk, out=ck)
         ck &= pk
-        C = close[:k].reshape(r, d)  # column d - 1 pairs a row with the next
-        out = mask[start:start + r]
+        C = self.close[:k].reshape(r, d)  # column d - 1 pairs a row with the next
         # A per-row any pays per row, as np.max does: per 32Ki-value tile
         # it took 286 us against 6 for the column fold at d = 2, 71 against
         # 27 at d = 12 and 46 against 62 at d = 32.
@@ -260,7 +339,13 @@ def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
                 out |= C[:, j]
         else:
             C[:, :-1].any(axis=1, out=out)
-    return mask
+        return out
+
+    def flag_copy(self, T: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
+        """:meth:`flag` on a copy of T made in ``tile``; T is left unwritten."""
+        S = self.tile[: len(T)]
+        np.copyto(S, T)
+        return self.flag(S, delta, out)
 
 
 def is_delta_separated(x, delta: float) -> bool:
@@ -273,12 +358,23 @@ def is_delta_separated(x, delta: float) -> bool:
 
 
 def _shards(
-    dist: DistributionSpec, n: int, chunk: int, root: int
+    dist: DistributionSpec,
+    n: int,
+    chunk: int,
+    root: int,
+    tile: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield n samples in shards of ``chunk`` rows; shard i draws from
-    ``default_rng([root, i])``. The last shard holds the remainder."""
+    ``default_rng([root, i])``. The last shard holds the remainder. Given a
+    ``tile`` buffer, each shard comes as the tiles that
+    :meth:`DistributionSpec.tiles` builds in it, so the rows and their order
+    are the same and only the tile is held."""
     for i, start in enumerate(range(0, n, chunk)):
-        yield dist.sample(min(chunk, n - start), np.random.default_rng([root, i]))
+        m, rng = min(chunk, n - start), np.random.default_rng([root, i])
+        if tile is None:
+            yield dist.sample(m, rng)
+        else:
+            yield from dist.tiles(m, rng, tile)
 
 
 def _default_chunk(width_hint: int) -> int:
@@ -388,16 +484,24 @@ def estimate_violation_prob(
     n: int,
     seed: int | None = None,
 ) -> ProportionEstimate:
-    """Monte Carlo estimate of P[X not delta-separated] with a Wilson CI."""
+    """Monte Carlo estimate of P[X not delta-separated] with a Wilson CI.
+
+    Each shard is drawn and tested one tile at a time in the buffers of one
+    :class:`_TileTest`, sorted in place while the tile is in cache, so only
+    the count leaves a tile and memory stays O(tile) whatever n and d are
+    (``iid_plus_noise`` adds its shard's corners, see
+    :meth:`DistributionSpec.tiles`). The count equals that of
+    ``_violation_mask`` on each whole shard."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     root = dist.seed if seed is None else seed
-    hits = sum(
-        int(_violation_mask(X, delta).sum())
-        for X in _shards(dist, n, VIOLATION_CHUNK, root)
-    )
+    test = _TileTest(dist.d, n)
+    flags = np.empty(len(test.tile), dtype=bool)
+    hits = 0
+    for T in _shards(dist, n, VIOLATION_CHUNK, root, test.tile):
+        hits += int(np.count_nonzero(test.flag(T, delta, flags[: len(T)])))
     p = hits / n
     se = (p * (1 - p) / n) ** 0.5
     return ProportionEstimate(
@@ -411,22 +515,26 @@ def sample_separated(
     n: int,
     seed: int | None = None,
 ) -> np.ndarray:
-    """Rejection-sample n points conditioned on delta-separation."""
+    """Rejection-sample n points conditioned on delta-separation: the first
+    n separated rows of rounds of max(n, 1024) draws, unsorted, as drawn.
+
+    Rows are drawn and tested a tile at a time and the kept ones copied
+    into the result, so memory is O(n d + tile)."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     root = dist.seed if seed is None else seed
     m = max(n, 1024)
-    kept: list[np.ndarray] = []
+    test = _TileTest(dist.d, m)
+    drawn, flags = np.empty_like(test.tile), np.empty(len(test.tile), dtype=bool)
+    X = np.empty((n, dist.d))
     total = 0
-    for X in _shards(dist, SEPARATED_MAX_ROUNDS * m, m, root):
-        X = X[~_violation_mask(X, delta)]
-        kept.append(X)
-        total += len(X)
-        if total >= n:
-            break
-    else:
-        raise RuntimeError(
-            f"rejection sampling did not reach {n} separated points "
-            f"in {SEPARATED_MAX_ROUNDS} rounds; delta={delta} may be too large"
-        )
-    return np.concatenate(kept)[:n]
+    for T in _shards(dist, SEPARATED_MAX_ROUNDS * m, m, root, drawn):
+        kept = T[~test.flag_copy(T, delta, flags[: len(T)])][: n - total]
+        X[total:total + len(kept)] = kept
+        total += len(kept)
+        if total == n:
+            return X
+    raise RuntimeError(
+        f"rejection sampling did not reach {n} separated points "
+        f"in {SEPARATED_MAX_ROUNDS} rounds; delta={delta} may be too large"
+    )

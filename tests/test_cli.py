@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -173,6 +174,50 @@ class TestError:
             run(["error", "--net", str(net_file), "--d", "2", "--n", "1000",
                  "--seed", seed, "--out", str(csv_file)], capsys)
         assert len(csv_file.read_text().strip().splitlines()) == 3
+
+    def test_run_appending_while_another_samples_keeps_both_rows(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The second run starts and finishes while the first one samples.
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
+        csv_file = tmp_path / "err.csv"
+        argv = ["error", "--net", str(net_file), "--d", "2", "--n", "1000",
+                "--out", str(csv_file), "--seed"]
+        estimate, nested = cli.mc_l2_error, []
+
+        def estimate_and_run_another(*args, **kwargs):
+            if not nested:
+                nested.append(None)
+                nested[0] = main([*argv, "2"])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_l2_error", estimate_and_run_another)
+        assert main([*argv, "1"]) == 0 and nested == [0]
+        lines = csv_file.read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines] == ["seed", "2", "1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "err.csv", "err.csv.manifest.json", "net.json", "net.json.manifest.json"]
+
+    def test_concurrent_runs_keep_every_row(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
+        csv_file = tmp_path / "err.csv"
+        src = os.path.dirname(os.path.dirname(maxnet.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", "import sys, maxnet.cli; sys.exit(maxnet.cli.main())",
+                 "error", "--net", str(net_file), "--d", "2", "--n", "2000",
+                 "--seed", str(seed), "--out", str(csv_file)],
+                env=env, stdout=subprocess.DEVNULL,
+            )
+            for seed in range(4)
+        ]
+        assert [p.wait(timeout=120) for p in procs] == [0] * 4
+        seeds = sorted(line.split(",")[-1] for line in csv_file.read_text().splitlines()[1:])
+        assert seeds == ["0", "1", "2", "3"]
 
     def test_foreign_header_exits_2_and_leaves_file(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
@@ -373,6 +418,18 @@ class TestSpectral:
         by_xi = {float(r[0]): r[4] for r in rows}
         assert by_xi[6.0] == "" and by_xi[8.0] != ""
 
+    def test_oversized_grid_exits_2_before_building_it(self, tmp_path, capsys):
+        # 41**5 = 115856201 rows, which ran out of memory instead
+        out = tmp_path / "grid.csv"
+        code, _, err = run(
+            ["spectral", "--d", "5", "--grid", "0:20:0.5", "--out", str(out)], capsys
+        )
+        assert code == 2 and "--grid" in err and "41**5" in err
+        assert not out.exists()
+        # the cap counts rows, so a wide grid of few rows still runs
+        code, _, _ = run(["spectral", "--d", "30", "--grid", "1:1:1", "--out", str(out)], capsys)
+        assert code == 0 and len(out.read_text().splitlines()) == 2
+
     @pytest.mark.parametrize("flags, named", [
         (["--d", "0", "--grid", "0:1:1"], "--d"),
         (["--d", "1", "--grid", "nan:1:1"], "--grid"),
@@ -426,6 +483,30 @@ class TestSeparation:
         assert (tmp_path / "sep.csv").read_bytes() == first
         prob = float(first.decode().strip().splitlines()[1].split(",")[4])
         assert prob <= 2 * 4 * 0.01 + 0.01
+
+    def test_paper_scale_fits_an_address_space_limit(self, tmp_path, capsys):
+        # One 65536-row shard at d = 2048 takes 1 GiB. The child may map
+        # 900000 KiB in all, interpreter and BLAS included, and must still
+        # write the row of an unlimited run.
+        args = ["separation", "--d", "2048", "--delta", "1e-6", "--n", "65536", "--seed", "1"]
+        code, _, _ = run([*args, "--out", str(tmp_path / "free.csv")], capsys)
+        assert code == 0
+        src = os.path.dirname(os.path.dirname(maxnet.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        limit = 900_000 * 1024
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys, maxnet.cli; sys.exit(maxnet.cli.main())",
+             *args, "--out", str(tmp_path / "limited.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_address_space,
+        )
+        assert child.returncode == 0, child.stderr
+        assert (tmp_path / "limited.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
 
     @pytest.mark.parametrize("flags", [
         ["--delta", "nan"],

@@ -281,12 +281,17 @@ class TestSeparation:
             hits += expected.sum()
         assert hits or d == 1
 
-    def test_violation_prob_memory_is_about_one_shard(self):
-        # the 65536 x 32 shard itself takes 16 MiB
-        dist = DistributionSpec.uniform_box(32)
-        est, peak = traced_peak(estimate_violation_prob, dist, 1e-2, 65536)
-        assert est.n_samples == 65536
-        assert peak <= 20 * MiB
+    def test_violation_prob_memory_is_one_tile(self):
+        # A tile of 32768 values and the test's buffers take about 0.8 MiB.
+        # A whole 65536-row shard took 16 MiB at d = 32 and 1 GiB at d = 2048.
+        estimate_violation_prob(DistributionSpec.uniform_box(2), 1e-2, 1)  # loads numpy.random
+        for d, ns in [(32, (1, 1031, 2 * 65536 + 3)), (2048, (1, 1031))]:
+            for n in ns:
+                est, peak = traced_peak(
+                    estimate_violation_prob, DistributionSpec.uniform_box(d), 1e-2, n
+                )
+                assert est.n_samples == n
+                assert peak < 2 * MiB, (d, n)
 
     def test_mask_memory_is_linear_in_d(self):
         # the pairwise form needs 4096 * 128 * 128 * 8 B = 537 MB per array
@@ -302,8 +307,9 @@ class TestSeparation:
         assert peak < 512 * MiB
 
     def test_sample_separated_at_d1024_fits_in_memory(self):
+        # the result takes 2 MiB; a round of 1024 drawn rows would take 8 MiB
         X, peak = traced_peak(sample_separated, DistributionSpec.uniform_box(1024), 1e-9, 256)
-        assert peak < 512 * MiB
+        assert peak < X.nbytes + 2 * MiB
         assert X.shape == (256, 1024)
         assert all(is_delta_separated(x, 1e-9) for x in X)
 
@@ -342,6 +348,26 @@ class TestDistributions:
         again = spec.sample(n, rng)
         assert got.flags.writeable and got.flags.owndata
         assert not np.shares_memory(got, again)
+
+    @pytest.mark.parametrize("kind", ["uniform_box", "gaussian_std", "uniform_noise", "gaussian_noise"])
+    def test_tiles_are_the_rows_of_sample(self, kind):
+        # tiles of 1 row, of a size that leaves a partial last tile, of
+        # exactly n rows and of more than n rows; the stream goes on alike
+        spec = {
+            "uniform_box": DistributionSpec.uniform_box(3, a=-0.3, R=2.7),
+            "gaussian_std": DistributionSpec.gaussian_std(3),
+            "uniform_noise": DistributionSpec.iid_plus_noise(3, "uniform", 0.15),
+            "gaussian_noise": DistributionSpec.iid_plus_noise(3, "gaussian", 0.15),
+        }[kind]
+        for n, rows in [(1, 1), (7, 1), (1001, 64), (1001, 1001), (1001, 4096)]:
+            want_rng, rng = np.random.default_rng(23), np.random.default_rng(23)
+            want = spec.sample(n, want_rng)
+            out = np.full((rows, 3), np.nan)
+            tiles = [T.copy() for T in spec.tiles(n, rng, out)]
+            assert all(np.shares_memory(T, out) for T in spec.tiles(2, np.random.default_rng(0), out))
+            assert [len(T) for T in tiles] == [min(rows, n - s) for s in range(0, n, rows)]
+            assert np.concatenate(tiles).tobytes() == want.tobytes()
+            assert rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("a, R", [(0.0, 1.0), (-0.0, 1.0), (0.0, 2.5), (-1.0, 1.0), (3.0, 1e-3)])
     def test_box_steps_skipped_only_where_exact(self, a, R):
@@ -585,6 +611,36 @@ class TestShardContract:
         full, rem = divmod(n, chunk)
         sizes = [chunk] * full + ([rem] if rem else [])
         return [dist.sample(m, np.random.default_rng([self.ROOT, i])) for i, m in enumerate(sizes)]
+
+    KINDS = {
+        "uniform_box": lambda d: DistributionSpec.uniform_box(d, a=-0.3, R=2.5, seed=1),
+        "gaussian_std": lambda d: DistributionSpec.gaussian_std(d, seed=1),
+        "iid_plus_noise": lambda d: DistributionSpec.iid_plus_noise(d, "uniform", 0.1, seed=1),
+    }
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("d", [1, 2, 3, 13, 65])
+    def test_tiled_separation_matches_whole_shards(self, kind, d):
+        # One whole shard and a remainder shard of 4465 rows, which ends in
+        # a partial tile at every d; delta keeps some rows of each kind apart.
+        dist, delta = self.KINDS[kind](d), 0.2 / d**2
+        n = VIOLATION_CHUNK + 4465
+        assert 4465 % max(1, _TILE_VALUES // d)
+        hits = sum(int(_violation_mask(X, delta).sum())
+                   for X in self.shards(dist, n, VIOLATION_CHUNK))
+        est = estimate_violation_prob(dist, delta, n, seed=self.ROOT)
+        assert (0 < hits < n) == (d > 1)
+        assert est.proportion == hits / n
+        assert est.ci95 == wilson_interval(hits, n)
+        # rounds of max(n, 1024) = 3001 draws, filtered, until n are kept
+        n = 3001
+        rounds = [X[~_violation_mask(X, delta)] for X in self.shards(dist, 4 * n, n)]
+        kept = np.cumsum([len(X) for X in rounds])
+        used = int(np.searchsorted(kept, n)) + 1
+        assert (used > 1) == (d > 1)
+        expected = np.concatenate(rounds[:used])[:n]
+        got = sample_separated(dist, delta, n, seed=self.ROOT)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "estimator", ["mc_l2_error", "estimate_violation_prob", "sample_separated"]
