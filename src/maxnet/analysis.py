@@ -328,7 +328,7 @@ def parallelotope_floors(
             )
         checked.append((para, dev))
     d = nets[0].input_dim
-    dist = DistributionSpec.uniform_box(d, seed=seed)
+    dist = DistributionSpec.uniform_box(d)
     floor = error_floor(d)
     return [
         FloorReport(
@@ -338,7 +338,7 @@ def parallelotope_floors(
             constancy_deviation=dev,
             floor_respected=est.mean_sq_error >= floor - 3.0 * est.std_error,
         )
-        for (para, dev), est in zip(checked, mc_l2_errors(nets, row_max, dist, n))
+        for (para, dev), est in zip(checked, mc_l2_errors(nets, row_max, dist, n, seed))
     ]
 
 

@@ -89,12 +89,10 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 def _dist_from_args(args) -> DistributionSpec:
     if args.dist == "uniform":
-        return DistributionSpec.uniform_box(args.d, a=args.a, R=args.R, seed=args.seed)
+        return DistributionSpec.uniform_box(args.d, a=args.a, R=args.R)
     if args.dist == "gauss":
-        return DistributionSpec.gaussian_std(args.d, seed=args.seed)
-    return DistributionSpec.iid_plus_noise(
-        args.d, noise_scale=args.noise_scale, seed=args.seed
-    )
+        return DistributionSpec.gaussian_std(args.d)
+    return DistributionSpec.iid_plus_noise(args.d, noise_scale=args.noise_scale)
 
 
 def _stats_line(net: FeedForwardNet) -> str:
@@ -267,9 +265,8 @@ def cmd_sweep(args) -> int:
     if args.restarts < 1:
         raise ValueError("--restarts must be at least 1")
     widths = [int(w) for w in args.widths.split(",")]
-    dist = DistributionSpec.uniform_box(args.d, seed=args.seed)
     cells = width_sweep(
-        args.depth, widths, args.d, dist,
+        args.depth, widths, DistributionSpec.uniform_box(args.d),
         seeds=tuple(range(args.seed, args.seed + args.restarts)),
         lr=args.lr, batch=args.batch, steps=args.steps, heldout_n=args.n,
     )

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import AffineLayer, FeedForwardNet, matrix_from_triplets
+from .network import AffineLayer, FeedForwardNet, _csr, matrix_from_triplets
 
 
 def beta(k: int) -> Fraction:
@@ -270,6 +270,16 @@ def exact_max_tree(d: int) -> FeedForwardNet:
     return FeedForwardNet(input_dim=d, layers=tuple(layers), metadata=f"exact_max_tree d={d}")
 
 
+def _map_values(matrix, f):
+    """A layer's stored matrix with ``f`` applied to its stored values, so a
+    sparse layer is never built dense. numpy applies ``f`` to the values of
+    a CSR matrix; scipy's own ``csr / R`` multiplies by 1/R, which rounds
+    differently."""
+    if isinstance(matrix, np.ndarray):
+        return f(matrix)
+    return _csr(matrix.shape, matrix.indptr, matrix.indices, f(matrix.data))
+
+
 def rescale_to_box(net: FeedForwardNet, a: float, R: float) -> FeedForwardNet:
     """Conjugate a unit-box max approximator to the box [a, a+R]^d.
 
@@ -282,12 +292,13 @@ def rescale_to_box(net: FeedForwardNet, a: float, R: float) -> FeedForwardNet:
         raise ValueError("R must be positive")
     layers = list(net.layers)
     first = layers[0]
-    layers[0] = AffineLayer(first.weights / R,
-                            first.biases - (a / R) * first.weights.sum(axis=1),
+    layers[0] = AffineLayer(_map_values(first.matrix, lambda w: w / R),
+                            first.biases - (a / R) * first.matrix.sum(axis=1),
                             first.apply_activation)
     # for a one-layer net this is the layer just made, which takes both maps
     last = layers[-1]
-    layers[-1] = AffineLayer(R * last.weights, R * last.biases + a, apply_activation=False)
+    layers[-1] = AffineLayer(_map_values(last.matrix, lambda w: R * w),
+                             R * last.biases + a, apply_activation=False)
     return FeedForwardNet(
         input_dim=net.input_dim,
         layers=tuple(layers),

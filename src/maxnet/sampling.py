@@ -21,12 +21,12 @@ The separation estimators never hold a whole shard either.
 the rows ``sample`` would return, bit for bit, and each tile is sorted and
 tested in the buffers of one ``_TileTest`` while it is in cache. So
 ``estimate_violation_prob`` needs O(tile) memory whatever n and d are, and
-``sample_separated`` O(kept rows + tile); ``iid_plus_noise`` adds its
-shard's corners, which its stream holds ahead of the noise.
+``sample_separated`` O(kept rows + tile).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -40,7 +40,8 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Sampling law for inputs. Deterministic given (spec, seed).
+    """Sampling law for inputs: which rows a generator's stream makes. The
+    seed belongs to the run that draws them, not to the law.
 
     kinds:
       * ``uniform_box``: iid coordinates uniform on [a, a+R]
@@ -56,7 +57,6 @@ class DistributionSpec:
     R: float = 1.0
     noise: str = "uniform"
     noise_scale: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("uniform_box", "gaussian_std", "iid_plus_noise"):
@@ -69,8 +69,6 @@ class DistributionSpec:
             raise ValueError("R must be positive and finite")
         if not math.isfinite(self.a + self.R):
             raise ValueError("a + R must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
         if self.kind == "iid_plus_noise":
             if self.noise not in ("uniform", "gaussian"):
                 raise ValueError("noise must be 'uniform' or 'gaussian'")
@@ -78,28 +76,23 @@ class DistributionSpec:
                 raise ValueError("noise_scale must be positive and finite")
 
     @classmethod
-    def uniform_box(cls, d: int, a: float = 0.0, R: float = 1.0, seed: int = 0):
-        return cls(kind="uniform_box", d=d, a=a, R=R, seed=seed)
+    def uniform_box(cls, d: int, a: float = 0.0, R: float = 1.0):
+        return cls(kind="uniform_box", d=d, a=a, R=R)
 
     @classmethod
-    def gaussian_std(cls, d: int, seed: int = 0):
-        return cls(kind="gaussian_std", d=d, seed=seed)
+    def gaussian_std(cls, d: int):
+        return cls(kind="gaussian_std", d=d)
 
     @classmethod
-    def iid_plus_noise(
-        cls,
-        d: int,
-        noise: str = "uniform",
-        noise_scale: float = 0.1,
-        seed: int = 0,
-    ):
-        return cls(
-            kind="iid_plus_noise", d=d, noise=noise, noise_scale=noise_scale, seed=seed
-        )
+    def iid_plus_noise(cls, d: int, noise: str = "uniform", noise_scale: float = 0.1):
+        return cls(kind="iid_plus_noise", d=d, noise=noise, noise_scale=noise_scale)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n fresh rows: :meth:`tiles` with one tile, drawn as a new array."""
-        return self._rows(rng, (n, self.d), None, self._corners(n, rng))
+        """n fresh rows: :meth:`tiles` with one tile, in a new array."""
+        X = np.empty((n, self.d))
+        for _ in self.tiles(n, rng, X):
+            pass
+        return X
 
     def tiles(
         self, n: int, rng: np.random.Generator, out: np.ndarray
@@ -111,53 +104,46 @@ class DistributionSpec:
 
         ``Generator.random(out=)`` and ``standard_normal(out=)`` fill a tile
         in stream order, so the tiles hold the stream that one whole draw
-        holds. ``iid_plus_noise`` draws the +-1 corners of all n rows first,
-        as its stream holds them ahead of the noise, so that law keeps
-        8 n d bytes of corners beside ``out``.
+        holds. The stream of ``iid_plus_noise`` holds the +-1 corners of all
+        n rows ahead of the noise: a copy of ``rng`` draws each tile's
+        corners, while ``rng`` itself draws them tile by tile and discards
+        them to reach the noise. Integer draws in pieces take the stream
+        that one draw takes, for any bit generator, so memory stays O(tile)
+        and ``rng`` ends where ``sample`` leaves it.
         """
-        base = self._corners(n, rng)
-        rows = len(out)
+        rows = max(1, len(out))  # sample(0, rng) has no tile
+        corners = None
+        if self.kind == "iid_plus_noise":
+            corners = copy.deepcopy(rng)
+            for start in range(0, n, rows):
+                rng.integers(0, 2, size=(min(rows, n - start), self.d))
         for start in range(0, n, rows):
-            X = out[: min(rows, n - start)]
-            corners = None if base is None else base[start:start + len(X)]
-            yield self._rows(rng, None, X, corners)
-
-    def _corners(self, n: int, rng: np.random.Generator) -> np.ndarray | None:
-        """The +-1 corners of n rows of ``iid_plus_noise``, None for the
-        other laws."""
-        if self.kind != "iid_plus_noise":
-            return None
-        base = rng.integers(0, 2, size=(n, self.d)) * 2.0
-        base -= 1.0
-        return base
+            yield self._rows(rng, out[: min(rows, n - start)], corners)
 
     def _rows(
-        self,
-        rng: np.random.Generator,
-        shape: tuple[int, int] | None,
-        out: np.ndarray | None,
-        base: np.ndarray | None,
+        self, rng: np.random.Generator, X: np.ndarray, corners: np.random.Generator | None
     ) -> np.ndarray:
-        """Rows drawn into ``out``, or into a new array of ``shape`` when
-        ``out`` is None, and built there; ``base`` holds their corners. The
-        steps follow a + R u, base + scale (u - 1/2) and base + scale g
-        operation by operation, so the bits are those of the plain
-        expressions."""
+        """Fill X with rows drawn from ``rng`` and build them there;
+        ``corners`` draws the +-1 corners of ``iid_plus_noise``. The steps
+        follow a + R u, base + scale (u - 1/2) and base + scale g operation
+        by operation, so the bits are those of the plain expressions."""
         if self.kind == "uniform_box":
-            X = rng.random(shape, out=out)
+            rng.random(out=X)
             if self.R != 1:  # x * 1 == x
                 X *= self.R
             if self.a != 0:  # x + 0 == x + -0 == x, as u is never -0.0
                 X += self.a
             return X
         if self.kind == "gaussian_std":
-            return rng.standard_normal(shape, out=out)
+            return rng.standard_normal(out=X)
         if self.noise == "uniform":
-            X = rng.random(shape, out=out)
+            rng.random(out=X)
             X -= 0.5
         else:
-            X = rng.standard_normal(shape, out=out)
+            rng.standard_normal(out=X)
         X *= self.noise_scale
+        base = corners.integers(0, 2, size=X.shape) * 2.0
+        base -= 1.0
         X += base
         return X
 
@@ -280,7 +266,7 @@ def _violation_mask(X: np.ndarray, delta: float) -> np.ndarray:
     test = _TileTest(d, n)
     for start in range(0, n, len(test.tile)):
         T = X[start:start + len(test.tile)]
-        test.flag_copy(T, delta, mask[start:start + len(T)])
+        mask[start:start + len(T)] = test.flag_copy(T, delta)
     return mask
 
 
@@ -288,10 +274,11 @@ class _TileTest:
     """The separation test of row tiles of width d, in buffers allocated
     once and reused by every tile. ``tile`` is the test's own buffer of
     ``_TILE_VALUES`` values (one row, if a row is wider; at most n rows): a
-    caller may draw rows into it and test them there. Allocating the
-    buffers per tile, through ``_violation_mask``, took 0.44 s of CPU
-    against 0.25 s for the six estimates of the benchmark's ``separation``
-    workload (fresh processes, one thread, median of 6)."""
+    caller may draw rows into it and test them there. ``flags`` holds the
+    result of the last tile tested. Allocating the buffers per tile, through
+    ``_violation_mask``, took 0.44 s of CPU against 0.25 s for the six
+    estimates of the benchmark's ``separation`` workload (fresh processes,
+    one thread, median of 6)."""
 
     def __init__(self, d: int, n: int):
         rows = min(max(1, _TILE_VALUES // d), n)
@@ -300,10 +287,11 @@ class _TileTest:
         self.a, self.m = np.empty(size), np.empty(size - 1)
         self.pos = np.empty(size - 1, dtype=bool)
         self.close = np.empty(size, dtype=bool)
+        self.flags = np.empty(rows, dtype=bool)
 
-    def flag(self, S: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
-        """Set ``out[r]`` to whether row r of S is NOT delta-separated, and
-        return ``out``. S is a C-contiguous tile that the test may reorder:
+    def flag(self, S: np.ndarray, delta: float) -> np.ndarray:
+        """Whether each row of S is NOT delta-separated, as a leading slice
+        of ``flags``. S is a C-contiguous tile that the test may reorder:
         rows wider than two are sorted in place, and a row of two values is
         tested as it stands.
 
@@ -313,6 +301,7 @@ class _TileTest:
         is scaled, as delta m can underflow to zero.
         """
         r, d = S.shape
+        out = self.flags[:r]
         if d < 2:  # no pair to test
             out.fill(False)
             return out
@@ -341,11 +330,11 @@ class _TileTest:
             C[:, :-1].any(axis=1, out=out)
         return out
 
-    def flag_copy(self, T: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
+    def flag_copy(self, T: np.ndarray, delta: float) -> np.ndarray:
         """:meth:`flag` on a copy of T made in ``tile``; T is left unwritten."""
         S = self.tile[: len(T)]
         np.copyto(S, T)
-        return self.flag(S, delta, out)
+        return self.flag(S, delta)
 
 
 def is_delta_separated(x, delta: float) -> bool:
@@ -369,6 +358,8 @@ def _shards(
     ``tile`` buffer, each shard comes as the tiles that
     :meth:`DistributionSpec.tiles` builds in it, so the rows and their order
     are the same and only the tile is held."""
+    if root < 0:
+        raise ValueError("seed must be a non-negative integer")
     for i, start in enumerate(range(0, n, chunk)):
         m, rng = min(chunk, n - start), np.random.default_rng([root, i])
         if tile is None:
@@ -397,7 +388,7 @@ def mc_l2_errors(
     target: Callable[[np.ndarray], np.ndarray],
     dist: DistributionSpec,
     n: int,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> list[ErrorEstimate]:
     """Unbiased Monte Carlo estimates of E[(net(x) - target(x))^2], one per
     net, all on the same sample stream.
@@ -406,10 +397,10 @@ def mc_l2_errors(
     target values are made once and scored by every net in turn, and each
     net's sums are reduced in shard order, so every estimate is bit for bit
     that of :func:`mc_l2_error` on the net alone. Deterministic given
-    (dist, seed); the chunk size is a fixed function of the network shape
-    so results do not depend on memory pressure. Nets whose default chunks
-    differ would cut the stream at different places, so they raise
-    ``ValueError``.
+    (dist, n, seed), as ``seed`` is the one root of the sample stream; the
+    chunk size is a fixed function of the network shape so results do not
+    depend on memory pressure. Nets whose default chunks differ would cut
+    the stream at different places, so they raise ``ValueError``.
     """
     nets = list(nets)
     if not nets:
@@ -419,7 +410,6 @@ def mc_l2_errors(
             raise ValueError(f"net expects d={net.input_dim}, distribution has d={dist.d}")
     if n < 2:
         raise ValueError("n must be >= 2")
-    root = dist.seed if seed is None else seed
     chunks = {_default_chunk(_net_width_hint(net)) for net in nets}
     if len(chunks) > 1:
         raise ValueError(
@@ -428,7 +418,7 @@ def mc_l2_errors(
         )
     (chunk,) = chunks
     s1, s2 = [0.0] * len(nets), [0.0] * len(nets)
-    for X in _shards(dist, n, chunk, root):
+    for X in _shards(dist, n, chunk, seed):
         y = None
         for k, net in enumerate(nets):
             sq = evaluate_batch(net, X)  # a fresh array: the error, then its powers
@@ -460,7 +450,7 @@ def mc_l2_error(
     target: Callable[[np.ndarray], np.ndarray],
     dist: DistributionSpec,
     n: int,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> ErrorEstimate:
     """Unbiased Monte Carlo estimate of E[(net(x) - target(x))^2]: the
     one-net case of :func:`mc_l2_errors`."""
@@ -482,26 +472,22 @@ def estimate_violation_prob(
     dist: DistributionSpec,
     delta: float,
     n: int,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> ProportionEstimate:
     """Monte Carlo estimate of P[X not delta-separated] with a Wilson CI.
 
     Each shard is drawn and tested one tile at a time in the buffers of one
     :class:`_TileTest`, sorted in place while the tile is in cache, so only
-    the count leaves a tile and memory stays O(tile) whatever n and d are
-    (``iid_plus_noise`` adds its shard's corners, see
-    :meth:`DistributionSpec.tiles`). The count equals that of
-    ``_violation_mask`` on each whole shard."""
+    the count leaves a tile and memory stays O(tile) whatever n and d are.
+    The count equals that of ``_violation_mask`` on each whole shard."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    root = dist.seed if seed is None else seed
     test = _TileTest(dist.d, n)
-    flags = np.empty(len(test.tile), dtype=bool)
     hits = 0
-    for T in _shards(dist, n, VIOLATION_CHUNK, root, test.tile):
-        hits += int(np.count_nonzero(test.flag(T, delta, flags[: len(T)])))
+    for T in _shards(dist, n, VIOLATION_CHUNK, seed, test.tile):
+        hits += int(np.count_nonzero(test.flag(T, delta)))
     p = hits / n
     se = (p * (1 - p) / n) ** 0.5
     return ProportionEstimate(
@@ -513,7 +499,7 @@ def sample_separated(
     dist: DistributionSpec,
     delta: float,
     n: int,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> np.ndarray:
     """Rejection-sample n points conditioned on delta-separation: the first
     n separated rows of rounds of max(n, 1024) draws, unsorted, as drawn.
@@ -522,14 +508,13 @@ def sample_separated(
     into the result, so memory is O(n d + tile)."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    root = dist.seed if seed is None else seed
     m = max(n, 1024)
     test = _TileTest(dist.d, m)
-    drawn, flags = np.empty_like(test.tile), np.empty(len(test.tile), dtype=bool)
+    drawn = np.empty_like(test.tile)
     X = np.empty((n, dist.d))
     total = 0
-    for T in _shards(dist, SEPARATED_MAX_ROUNDS * m, m, root, drawn):
-        kept = T[~test.flag_copy(T, delta, flags[: len(T)])][: n - total]
+    for T in _shards(dist, SEPARATED_MAX_ROUNDS * m, m, seed, drawn):
+        kept = T[~test.flag_copy(T, delta)][: n - total]
         X[total:total + len(kept)] = kept
         total += len(kept)
         if total == n:

@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError("lr must be positive and finite")
         if self.batch < 1 or self.steps < 1:
             raise ValueError("batch and steps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.dist.d != self.d:
             raise ValueError("distribution dimension must match d")
 
@@ -140,7 +142,6 @@ class SweepCell:
 def width_sweep(
     depth: int,
     widths: list[int],
-    d: int,
     dist: DistributionSpec,
     seeds: tuple[int, ...] = (0, 1, 2),
     lr: float = 0.05,
@@ -149,7 +150,8 @@ def width_sweep(
     heldout_n: int = 10**5,
     heldout_seed: int = 10**9,
 ) -> list[SweepCell]:
-    """Train every (width, seed) cell and score it on held-out Monte Carlo.
+    """Train every (width, seed) cell on inputs of dimension ``dist.d`` and
+    score it on held-out Monte Carlo, whose stream ``heldout_seed`` roots.
 
     Training failures are recorded in the cell status; the sweep continues.
     final_train_mse is the mean minibatch loss over the last 100 steps.
@@ -162,7 +164,7 @@ def width_sweep(
     for width in widths:
         for seed in seeds:
             cfg = TrainConfig(
-                d=d,
+                d=dist.d,
                 arch=(width,) * (depth - 1),
                 dist=dist,
                 lr=lr,
@@ -174,7 +176,7 @@ def width_sweep(
                 result = train(cfg)
             except TrainingDivergedError as exc:
                 cells.append(
-                    SweepCell(depth, width, d, seed, float("nan"), float("nan"),
+                    SweepCell(depth, width, dist.d, seed, float("nan"), float("nan"),
                               float("nan"), float("nan"), status=str(exc))
                 )
                 continue
@@ -186,7 +188,7 @@ def width_sweep(
                 SweepCell(
                     depth=depth,
                     width=width,
-                    d=d,
+                    d=dist.d,
                     seed=seed,
                     final_train_mse=float(np.mean(tail)),
                     test_mse=est.mean_sq_error,

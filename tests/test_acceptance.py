@@ -79,8 +79,8 @@ def crit1_pipeline():
     for d in (2, 4, 8, 16, 32):
         alpha = alpha_for_accuracy(d, 1.0, eps)
         net = depth3_max(d, alpha)
-        dist = DistributionSpec.uniform_box(d, seed=SEED + d)
-        est = mc_l2_error(net, row_max, dist, 10**6)
+        dist = DistributionSpec.uniform_box(d)
+        est = mc_l2_error(net, row_max, dist, 10**6, seed=SEED + d)
         rows.append([d, repr(alpha), 10**6, repr(est.mean_sq_error),
                      repr(est.std_error), repr(est.ci95[0]), repr(est.ci95[1]),
                      SEED + d])
@@ -115,8 +115,8 @@ def test_criterion_02_exactness_on_separated_inputs():
     tol = 1e-9 * alpha
     worst = 0.0
     for d in range(2, 33):
-        dist = DistributionSpec.uniform_box(d, seed=SEED + 100 + d)
-        X = sample_separated(dist, 1.0 / alpha, 10**4)
+        dist = DistributionSpec.uniform_box(d)
+        X = sample_separated(dist, 1.0 / alpha, 10**4, seed=SEED + 100 + d)
         for k in (1, 2):
             net = depth3_max(d, alpha) if k == 1 else deep_max(d, alpha, k)
             err = np.abs(evaluate_batch(net, X) - X.max(axis=1))
@@ -171,16 +171,16 @@ def test_criterion_03_width_depth_formulas():
 def crit4_pipeline():
     d, alpha, n = 4, 1e3, 10**6
     base = depth3_max(d, alpha)
-    base_dist = DistributionSpec.uniform_box(d, seed=SEED + 400)
-    e0 = mc_l2_error(base, row_max, base_dist, n)
+    base_dist = DistributionSpec.uniform_box(d)
+    e0 = mc_l2_error(base, row_max, base_dist, n, seed=SEED + 400)
     rows = [[0, repr(1.0), repr(0.0), n, repr(e0.mean_sq_error),
              repr(e0.ci95[0]), repr(e0.ci95[1]), SEED + 400]]
     checks = []
     for i, (R, a) in enumerate([(2.0, 0.0), (2.0, -1.0), (4.0, 0.0), (4.0, -1.0)]):
         seed = SEED + 401 + i
         net = rescale_to_box(base, a, R)
-        dist = DistributionSpec.uniform_box(d, a=a, R=R, seed=seed)
-        est = mc_l2_error(net, row_max, dist, n)
+        dist = DistributionSpec.uniform_box(d, a=a, R=R)
+        est = mc_l2_error(net, row_max, dist, n, seed=seed)
         rows.append([i + 1, repr(R), repr(a), n, repr(est.mean_sq_error),
                      repr(est.ci95[0]), repr(est.ci95[1]), seed])
         checks.append((R, a, est))
@@ -217,8 +217,8 @@ def crit5_pipeline():
     for i, d in enumerate((2, 4, 8)):
         for j, delta in enumerate((1e-2, 1e-3)):
             seed = SEED + 500 + 10 * i + j
-            dist = DistributionSpec.uniform_box(d, seed=seed)
-            est = estimate_violation_prob(dist, delta, n)
+            dist = DistributionSpec.uniform_box(d)
+            est = estimate_violation_prob(dist, delta, n, seed=seed)
             bound = 2 * d * d * delta
             rows.append([d, repr(delta), n, repr(est.proportion),
                          repr(est.std_error), repr(est.ci95[0]),
@@ -350,7 +350,7 @@ def _random_narrow_net(rng, d: int) -> FeedForwardNet:
 
 
 def _best_trained_narrow(d: int, seed: int) -> FeedForwardNet:
-    dist = DistributionSpec.uniform_box(d, seed=seed)
+    dist = DistributionSpec.uniform_box(d)
     best_net, best_loss = None, np.inf
     for s in (seed, seed + 1):
         cfg = TrainConfig(d=d, arch=(d - 1,), dist=dist, lr=0.05, batch=64,
@@ -403,9 +403,9 @@ def test_criterion_08_narrow_first_layer_floor():
 
 def crit9_pipeline():
     d = 8
-    dist = DistributionSpec.uniform_box(d, seed=SEED + 900)
+    dist = DistributionSpec.uniform_box(d)
     cells = width_sweep(
-        2, [2, 4, 8, 16, 32, 64], d, dist,
+        2, [2, 4, 8, 16, 32, 64], dist,
         seeds=(0, 1, 2), lr=0.05, batch=64, steps=4000,
         heldout_n=2 * 10**5, heldout_seed=SEED + 901,
     )

@@ -485,12 +485,10 @@ class TestSeparation:
         assert prob <= 2 * 4 * 0.01 + 0.01
 
     def test_paper_scale_fits_an_address_space_limit(self, tmp_path, capsys):
-        # One 65536-row shard at d = 2048 takes 1 GiB. The child may map
-        # 900000 KiB in all, interpreter and BLAS included, and must still
-        # write the row of an unlimited run.
-        args = ["separation", "--d", "2048", "--delta", "1e-6", "--n", "65536", "--seed", "1"]
-        code, _, _ = run([*args, "--out", str(tmp_path / "free.csv")], capsys)
-        assert code == 0
+        # One 65536-row shard at d = 2048 takes 1 GiB, and so do the +-1
+        # corners of the noise law's shard. The child may map 900000 KiB in
+        # all, interpreter and BLAS included, and must still write the row
+        # of an unlimited run.
         src = os.path.dirname(os.path.dirname(maxnet.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -499,14 +497,20 @@ class TestSeparation:
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        child = subprocess.run(
-            [sys.executable, "-c", "import sys, maxnet.cli; sys.exit(maxnet.cli.main())",
-             *args, "--out", str(tmp_path / "limited.csv")],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=limit_address_space,
-        )
-        assert child.returncode == 0, child.stderr
-        assert (tmp_path / "limited.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
+        for dist in ("uniform", "noise"):
+            args = ["separation", "--dist", dist, "--d", "2048", "--delta", "1e-6",
+                    "--n", "65536", "--seed", "1"]
+            free, limited = tmp_path / f"{dist}-free.csv", tmp_path / f"{dist}-limited.csv"
+            code, _, _ = run([*args, "--out", str(free)], capsys)
+            assert code == 0
+            child = subprocess.run(
+                [sys.executable, "-c", "import sys, maxnet.cli; sys.exit(maxnet.cli.main())",
+                 *args, "--out", str(limited)],
+                env=env, capture_output=True, text=True, timeout=120,
+                preexec_fn=limit_address_space,
+            )
+            assert child.returncode == 0, child.stderr
+            assert limited.read_bytes() == free.read_bytes()
 
     @pytest.mark.parametrize("flags", [
         ["--delta", "nan"],
@@ -522,6 +526,20 @@ class TestSeparation:
                             "--seed", "3", "--out", str(out)], capsys)
         assert code == 2 and "must be" in err
         assert not out.exists()
+
+
+class TestNegativeSeed:
+    def test_error_separation_and_sweep_exit_2(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", "exact-tree", "--d", "3", "--out", str(net_file)], capsys)
+        for command, flags in [("error", ["--net", str(net_file)]),
+                               ("separation", ["--delta", "0.01"]),
+                               ("sweep", ["--depth", "2", "--widths", "2", "--steps", "5"])]:
+            out = tmp_path / f"{command}.csv"
+            code, _, err = run([command, *flags, "--d", "3", "--n", "1000",
+                                "--seed", "-1", "--out", str(out)], capsys)
+            assert code == 2 and "seed must be a non-negative integer" in err
+            assert not out.exists()
 
 
 class TestImportCost:

@@ -23,6 +23,8 @@ from hypothesis import given, strategies as st
 
 import maxnet
 from maxnet import (
+    AffineLayer,
+    FeedForwardNet,
     alpha_for_accuracy,
     batch_split,
     beta,
@@ -243,8 +245,8 @@ class TestDepth3:
     @pytest.mark.parametrize("d", [2, 3, 8, 17, 32])
     @pytest.mark.parametrize("alpha", [1e2, 1e4, 1e6])
     def test_exact_on_separated_inputs(self, d, alpha):
-        dist = DistributionSpec.uniform_box(d, seed=d * 1000 + int(math.log10(alpha)))
-        X = sample_separated(dist, 1.0 / alpha, 2000)
+        dist = DistributionSpec.uniform_box(d)
+        X = sample_separated(dist, 1.0 / alpha, 2000, seed=d * 1000 + int(math.log10(alpha)))
         net = depth3_max(d, alpha)
         err = np.abs(evaluate_batch(net, X) - X.max(axis=1))
         tol = 1e-9 * np.maximum(1.0, alpha * np.abs(X).max(axis=1))
@@ -282,8 +284,8 @@ class TestDeep:
     def test_depth_and_exactness(self, d, k):
         net = deep_max(d, 1e5, k)
         assert stats(net).depth == 2 * k + 1
-        dist = DistributionSpec.uniform_box(d, seed=d + k)
-        X = sample_separated(dist, 1e-5, 500)
+        dist = DistributionSpec.uniform_box(d)
+        X = sample_separated(dist, 1e-5, 500, seed=d + k)
         err = np.abs(evaluate_batch(net, X) - X.max(axis=1))
         assert np.all(err <= 1e-9 * 1e5)
 
@@ -492,6 +494,42 @@ class TestRescale:
     def test_bad_R(self):
         with pytest.raises(ValueError):
             rescale_to_box(exact_max_tree(2), 0.0, -1.0)
+
+    @staticmethod
+    def dense_rescale(net, a, R):
+        """The rescaled net built from the dense weights."""
+        layers = list(net.layers)
+        first = layers[0]
+        layers[0] = AffineLayer(first.weights / R,
+                                first.biases - (a / R) * first.weights.sum(axis=1),
+                                first.apply_activation)
+        last = layers[-1]
+        layers[-1] = AffineLayer(R * last.weights, R * last.biases + a, apply_activation=False)
+        return FeedForwardNet(net.input_dim, tuple(layers),
+                              f"{net.metadata} | rescaled to [{a!r}, {a + R!r}]^d")
+
+    @pytest.mark.parametrize("build", [
+        lambda: depth3_max(8, 1e3), lambda: depth3_max(64, 1e4),
+        lambda: deep_max(256, 1e6, 2), lambda: deep_max(256, 1e6, 3),
+        lambda: deep_max(1024, 1e6, 2), lambda: exact_max_tree(1), lambda: exact_max_tree(5),
+    ])
+    def test_stored_values_match_a_dense_rescale(self, build):
+        # sparse layers are scaled in their stored values; R = 7 is a scale
+        # whose reciprocal would round differently
+        net = build()
+        for a, R in [(0.0, 1.0), (-0.5, 3.0), (2.5, 7.0), (1e-3, 0.3)]:
+            assert serialize(rescale_to_box(net, a, R)) == serialize(self.dense_rescale(net, a, R))
+
+    def test_sparse_layer_is_not_built_dense(self):
+        # the first layer of deep_max(1024, ., 2) takes 88 MiB dense
+        net = deep_max(1024, 1e6, 2)
+        tracemalloc.start()
+        try:
+            rescale_to_box(net, -0.5, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDepthWidthTable:

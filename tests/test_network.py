@@ -596,7 +596,7 @@ class TestSerializeBytes:
         assert_serialize_matches_reference(net)
 
     def test_trained_net_with_json_metadata(self):
-        dist = DistributionSpec.uniform_box(3, seed=0)
+        dist = DistributionSpec.uniform_box(3)
         net = train(TrainConfig(d=3, arch=(4, 2), dist=dist, steps=20, seed=1)).net
         assert json.loads(net.metadata)["trained"] == "sgd"
         assert_serialize_matches_reference(net)

@@ -1,5 +1,6 @@
 """Distributions, separation machinery, and Monte Carlo estimator tests."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -204,13 +205,13 @@ class TestSeparation:
 
     @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan"), float("-inf")])
     def test_every_function_rejects_bad_delta(self, delta):
-        dist = DistributionSpec.uniform_box(2, seed=1)
+        dist = DistributionSpec.uniform_box(2)
         with pytest.raises(ValueError, match="delta"):
             is_delta_separated([1.0, 1.0], delta)
         with pytest.raises(ValueError, match="delta"):
-            estimate_violation_prob(dist, delta, 100)
+            estimate_violation_prob(dist, delta, 100, seed=1)
         with pytest.raises(ValueError, match="delta"):
-            sample_separated(dist, delta, 100)
+            sample_separated(dist, delta, 100, seed=1)
 
     @given(
         xs=st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=5),
@@ -316,7 +317,7 @@ class TestSeparation:
 
 class TestDistributions:
     def test_deterministic_given_seed(self):
-        spec = DistributionSpec.uniform_box(3, seed=11)
+        spec = DistributionSpec.uniform_box(3)
         a = spec.sample(100, np.random.default_rng(11))
         b = spec.sample(100, np.random.default_rng(11))
         np.testing.assert_array_equal(a, b)
@@ -369,6 +370,37 @@ class TestDistributions:
             assert np.concatenate(tiles).tobytes() == want.tobytes()
             assert rng.random() == want_rng.random()
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    def test_noise_tiles_hold_the_stream_of_one_draw(self, bit_generator):
+        # The stream holds the corners of all n rows ahead of the noise, and
+        # the tiles draw each tile's corners from a copy of the generator.
+        # The rows and the generator's next draws must be those of the plain
+        # expressions, for odd n d and with half of a 64-bit draw buffered
+        # on entry too.
+        d, s = 5, 0.15
+        for noise, (n, rows), buffered in itertools.product(
+            ("uniform", "gaussian"), [(7, 1), (333, 5), (1001, 64), (1001, 1001)], (False, True)
+        ):
+            def generator():
+                g = np.random.Generator(bit_generator(29))
+                if buffered:
+                    g.integers(0, 2**32, dtype=np.uint32)
+                return g
+
+            spec, want_rng = DistributionSpec.iid_plus_noise(d, noise, s), generator()
+            base = want_rng.integers(0, 2, size=(n, d)).astype(np.float64) * 2.0 - 1.0
+            if noise == "uniform":
+                want = base + s * (want_rng.random((n, d)) - 0.5)
+            else:
+                want = base + s * want_rng.standard_normal((n, d))
+            after = [want_rng.integers(0, 2**32, dtype=np.uint32), want_rng.random()]
+            tiled, whole = generator(), generator()
+            got = np.concatenate([T.copy() for T in spec.tiles(n, tiled, np.empty((rows, d)))])
+            assert got.tobytes() == want.tobytes()
+            assert spec.sample(n, whole).tobytes() == want.tobytes()
+            for g in (tiled, whole):
+                assert [g.integers(0, 2**32, dtype=np.uint32), g.random()] == after
+
     @pytest.mark.parametrize("a, R", [(0.0, 1.0), (-0.0, 1.0), (0.0, 2.5), (-1.0, 1.0), (3.0, 1e-3)])
     def test_box_steps_skipped_only_where_exact(self, a, R):
         spec = DistributionSpec.uniform_box(4, a=a, R=R)
@@ -377,7 +409,7 @@ class TestDistributions:
         assert got.tobytes() == want.tobytes()
 
     def test_uniform_box_range(self):
-        spec = DistributionSpec.uniform_box(2, a=-1.0, R=3.0, seed=0)
+        spec = DistributionSpec.uniform_box(2, a=-1.0, R=3.0)
         X = spec.sample(1000, np.random.default_rng(0))
         assert X.min() >= -1.0 and X.max() <= 2.0
 
@@ -392,8 +424,6 @@ class TestDistributions:
             DistributionSpec(kind="bogus", d=2)
         with pytest.raises(ValueError):
             DistributionSpec.uniform_box(2, R=-1.0)
-        with pytest.raises(ValueError):
-            DistributionSpec.uniform_box(2, seed=-3)
         with pytest.raises(ValueError, match="a \\+ R must be finite"):
             DistributionSpec.uniform_box(4, a=1e308, R=1e308)
         for kind, field in [("uniform_box", "a"), ("uniform_box", "R"),
@@ -407,26 +437,26 @@ class TestViolationProbability:
     def test_uniform_bound(self):
         # P[x not delta-separated] <= 2 d^2 delta on the unit cube
         for d, delta in [(2, 1e-2), (4, 1e-2), (8, 1e-3)]:
-            dist = DistributionSpec.uniform_box(d, seed=d)
-            est = estimate_violation_prob(dist, delta, 200_000)
+            dist = DistributionSpec.uniform_box(d)
+            est = estimate_violation_prob(dist, delta, 200_000, seed=d)
             assert est.proportion <= 2 * d * d * delta + 3 * est.std_error
 
     def test_monotone_in_delta(self):
-        dist = DistributionSpec.uniform_box(3, seed=5)
+        dist = DistributionSpec.uniform_box(3)
         estimates = [
-            estimate_violation_prob(dist, delta, 100_000).proportion
+            estimate_violation_prob(dist, delta, 100_000, seed=5).proportion
             for delta in (0.1, 0.01, 0.001)
         ]
         assert estimates[0] >= estimates[1] >= estimates[2]
 
     def test_gaussian_essentially_never_violates_tiny_delta(self):
-        dist = DistributionSpec.gaussian_std(3, seed=9)
-        est = estimate_violation_prob(dist, 1e-6, 100_000)
+        dist = DistributionSpec.gaussian_std(3)
+        est = estimate_violation_prob(dist, 1e-6, 100_000, seed=9)
         assert est.proportion < 1e-3
 
     def test_noise_smooths_discrete_base(self):
-        dist = DistributionSpec.iid_plus_noise(3, noise_scale=0.3, seed=2)
-        est = estimate_violation_prob(dist, 1e-5, 50_000)
+        dist = DistributionSpec.iid_plus_noise(3, noise_scale=0.3)
+        est = estimate_violation_prob(dist, 1e-5, 50_000, seed=2)
         assert est.proportion < 1e-2
 
 
@@ -444,14 +474,14 @@ class TestWilson:
 
 class TestMcL2Error:
     def test_exact_tree_error_is_zero(self):
-        dist = DistributionSpec.uniform_box(8, seed=3)
-        est = mc_l2_error(exact_max_tree(8), row_max, dist, 100_000)
+        dist = DistributionSpec.uniform_box(8)
+        est = mc_l2_error(exact_max_tree(8), row_max, dist, 100_000, seed=3)
         assert est.mean_sq_error <= 1e-20
 
     def test_constant_predictor_matches_integral_oracle(self):
         d, c = 4, 1 - 1 / 4
-        dist = DistributionSpec.uniform_box(d, seed=17)
-        est = mc_l2_error(constant_net(d, c), row_max, dist, 400_000)
+        dist = DistributionSpec.uniform_box(d)
+        est = mc_l2_error(constant_net(d, c), row_max, dist, 400_000, seed=17)
         truth = best_constant_error(c, d)
         assert truth == pytest.approx(0.0291666666, rel=1e-6)
         assert abs(est.mean_sq_error - truth) <= 4 * est.std_error
@@ -461,15 +491,15 @@ class TestMcL2Error:
     def test_corollary_alpha_reaches_target_error(self):
         d, eps = 4, 1e-4
         net = depth3_max(d, alpha_for_accuracy(d, 1.0, eps))
-        dist = DistributionSpec.uniform_box(d, seed=23)
-        est = mc_l2_error(net, row_max, dist, 200_000)
+        dist = DistributionSpec.uniform_box(d)
+        est = mc_l2_error(net, row_max, dist, 200_000, seed=23)
         assert est.mean_sq_error <= eps + 3 * est.std_error
 
     def test_deterministic_and_seed_sensitive(self):
-        dist = DistributionSpec.uniform_box(3, seed=1)
+        dist = DistributionSpec.uniform_box(3)
         net = depth3_max(3, 100.0)
-        a = mc_l2_error(net, row_max, dist, 50_000)
-        b = mc_l2_error(net, row_max, dist, 50_000)
+        a = mc_l2_error(net, row_max, dist, 50_000, seed=1)
+        b = mc_l2_error(net, row_max, dist, 50_000, seed=1)
         c = mc_l2_error(net, row_max, dist, 50_000, seed=2)
         assert a == b
         assert a.mean_sq_error != c.mean_sq_error
@@ -490,8 +520,8 @@ class TestMcL2Error:
             for i, o in zip(dims[:-1], dims[1:])
         ]
         net = FeedForwardNet(input_dim=10, layers=tuple(layers))
-        dist = DistributionSpec.uniform_box(10, seed=6)
-        est, peak = traced_peak(mc_l2_error, net, row_max, dist, 131072)
+        dist = DistributionSpec.uniform_box(10)
+        est, peak = traced_peak(mc_l2_error, net, row_max, dist, 131072, 6)
         assert est.n_samples == 131072
         assert peak < 42 * MiB
 
@@ -508,7 +538,7 @@ class TestMcL2Error:
                             apply_activation=o_idx < len(widths))
                 for o_idx, (i, o) in enumerate(zip(dims[:-1], dims[1:]))
             )))
-        dist = DistributionSpec.uniform_box(d, a=-0.5, R=2.0, seed=9)
+        dist = DistributionSpec.uniform_box(d, a=-0.5, R=2.0)
         calls = []
 
         def target(X):
@@ -516,16 +546,16 @@ class TestMcL2Error:
             return row_max(X)
 
         # every net's default chunk is 131072 rows: one full shard and a remainder
-        got = mc_l2_errors(nets, target, dist, 140_001)
+        got = mc_l2_errors(nets, target, dist, 140_001, seed=9)
         assert calls == [131072, 8929]
-        want = [mc_l2_error(net, row_max, dist, 140_001) for net in nets]
+        want = [mc_l2_error(net, row_max, dist, 140_001, seed=9) for net in nets]
         assert got == want
         got = mc_l2_errors(nets[1:], row_max, dist, 5000, seed=3)
         assert got == [mc_l2_error(net, row_max, dist, 5000, seed=3) for net in nets[1:]]
 
     def test_mismatched_default_chunks_raise(self):
         # widths 10 and 100 give default chunks of 131072 and 83886 rows
-        dist = DistributionSpec.uniform_box(3, seed=1)
+        dist = DistributionSpec.uniform_box(3)
         rng = np.random.default_rng(8)
         nets = [
             FeedForwardNet(input_dim=3, layers=(
@@ -535,15 +565,15 @@ class TestMcL2Error:
             for w in (10, 100)
         ]
         with pytest.raises(ValueError, match="chunk"):
-            mc_l2_errors(nets, row_max, dist, 1000)
+            mc_l2_errors(nets, row_max, dist, 1000, seed=1)
         with pytest.raises(ValueError):
-            mc_l2_errors([], row_max, dist, 1000)
+            mc_l2_errors([], row_max, dist, 1000, seed=1)
         with pytest.raises(ValueError):
-            mc_l2_errors([nets[0], exact_max_tree(4)], row_max, dist, 1000)
+            mc_l2_errors([nets[0], exact_max_tree(4)], row_max, dist, 1000, seed=1)
 
     def test_ci_invariant(self):
-        dist = DistributionSpec.uniform_box(2, seed=4)
-        est = mc_l2_error(constant_net(2, 0.5), row_max, dist, 10_000)
+        dist = DistributionSpec.uniform_box(2)
+        est = mc_l2_error(constant_net(2, 0.5), row_max, dist, 10_000, seed=4)
         assert est.ci95[0] <= est.mean_sq_error <= est.ci95[1]
 
 
@@ -554,8 +584,8 @@ class TestCiCalibration:
         net = exact_max_tree(4)
         hits = 0
         for seed in range(200):
-            dist = DistributionSpec.uniform_box(4, seed=seed)
-            est = mc_l2_error(net, row_max, dist, 2000)
+            dist = DistributionSpec.uniform_box(4)
+            est = mc_l2_error(net, row_max, dist, 2000, seed=seed)
             if est.ci95[0] <= 0.0 <= est.ci95[1]:
                 hits += 1
         assert hits >= 180
@@ -566,8 +596,8 @@ class TestCiCalibration:
         net = constant_net(d, c)
         hits = 0
         for seed in range(200):
-            dist = DistributionSpec.uniform_box(d, seed=1000 + seed)
-            est = mc_l2_error(net, row_max, dist, 2000)
+            dist = DistributionSpec.uniform_box(d)
+            est = mc_l2_error(net, row_max, dist, 2000, seed=1000 + seed)
             if est.ci95[0] <= truth <= est.ci95[1]:
                 hits += 1
         assert hits >= 180
@@ -576,9 +606,9 @@ class TestCiCalibration:
 class TestErrorMonotonicityInAlpha:
     def test_nonincreasing_up_to_ci_overlap(self):
         d = 4
-        dist = DistributionSpec.uniform_box(d, seed=31)
+        dist = DistributionSpec.uniform_box(d)
         ests = [
-            mc_l2_error(depth3_max(d, alpha), row_max, dist, 200_000)
+            mc_l2_error(depth3_max(d, alpha), row_max, dist, 200_000, seed=31)
             for alpha in (1e2, 1e3, 1e4, 1e5)
         ]
         for lo, hi in zip(ests[1:], ests[:-1]):
@@ -588,15 +618,15 @@ class TestErrorMonotonicityInAlpha:
 
 class TestSampleSeparated:
     def test_returns_separated_points(self):
-        dist = DistributionSpec.uniform_box(5, seed=8)
-        X = sample_separated(dist, 1e-3, 500)
+        dist = DistributionSpec.uniform_box(5)
+        X = sample_separated(dist, 1e-3, 500, seed=8)
         assert X.shape == (500, 5)
         assert all(is_delta_separated(x, 1e-3) for x in X[:50])
 
     def test_gives_up_on_impossible_delta(self):
-        dist = DistributionSpec.uniform_box(2, seed=8)
+        dist = DistributionSpec.uniform_box(2)
         with pytest.raises(RuntimeError):
-            sample_separated(dist, 5.0, 100)
+            sample_separated(dist, 5.0, 100, seed=8)
 
 
 class TestShardContract:
@@ -613,9 +643,9 @@ class TestShardContract:
         return [dist.sample(m, np.random.default_rng([self.ROOT, i])) for i, m in enumerate(sizes)]
 
     KINDS = {
-        "uniform_box": lambda d: DistributionSpec.uniform_box(d, a=-0.3, R=2.5, seed=1),
-        "gaussian_std": lambda d: DistributionSpec.gaussian_std(d, seed=1),
-        "iid_plus_noise": lambda d: DistributionSpec.iid_plus_noise(d, "uniform", 0.1, seed=1),
+        "uniform_box": lambda d: DistributionSpec.uniform_box(d, a=-0.3, R=2.5),
+        "gaussian_std": lambda d: DistributionSpec.gaussian_std(d),
+        "iid_plus_noise": lambda d: DistributionSpec.iid_plus_noise(d, "uniform", 0.1),
     }
 
     @pytest.mark.parametrize("kind", list(KINDS))
@@ -642,6 +672,15 @@ class TestShardContract:
         got = sample_separated(dist, delta, n, seed=self.ROOT)
         assert got.tobytes() == expected.tobytes()
 
+    def test_negative_seed_raises(self):
+        dist = DistributionSpec.uniform_box(3)
+        with pytest.raises(ValueError, match="seed"):
+            mc_l2_error(depth3_max(3, 100.0), row_max, dist, 1000, seed=-3)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_violation_prob(dist, 0.1, 1000, seed=-3)
+        with pytest.raises(ValueError, match="seed"):
+            sample_separated(dist, 0.1, 100, seed=-3)
+
     @pytest.mark.parametrize(
         "estimator", ["mc_l2_error", "estimate_violation_prob", "sample_separated"]
     )
@@ -649,7 +688,7 @@ class TestShardContract:
         n = self.N
         assert n % 131072 and n % VIOLATION_CHUNK  # remainder shards
         if estimator == "mc_l2_error":
-            dist = DistributionSpec.uniform_box(3, seed=1)
+            dist = DistributionSpec.uniform_box(3)
             net = depth3_max(3, 100.0)
             s1 = s2 = 0.0
             for X in self.shards(dist, n, 131072):  # depth3_max(3)'s default chunk
@@ -662,7 +701,7 @@ class TestShardContract:
             assert est.mean_sq_error == mean
             assert est.std_error == (max(0.0, (s2 - n * mean * mean) / (n - 1)) / n) ** 0.5
         elif estimator == "estimate_violation_prob":
-            dist = DistributionSpec.gaussian_std(8, seed=1)
+            dist = DistributionSpec.gaussian_std(8)
             hits = sum(int(_violation_mask(X, 0.05).sum())
                        for X in self.shards(dist, n, VIOLATION_CHUNK))
             est = estimate_violation_prob(dist, 0.05, n, seed=self.ROOT)
@@ -671,7 +710,7 @@ class TestShardContract:
             assert est.ci95 == wilson_interval(hits, n)
         else:
             # rounds of max(n, 1024) draws, filtered, until n points are kept
-            dist = DistributionSpec.uniform_box(4, seed=1)
+            dist = DistributionSpec.uniform_box(4)
             rounds = [X[~_violation_mask(X, 0.1)] for X in self.shards(dist, 5 * n, n)]
             kept = np.cumsum([len(X) for X in rounds])
             used = int(np.searchsorted(kept, n)) + 1
