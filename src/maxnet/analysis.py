@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import AffineLayer, FeedForwardNet, evaluate_batch
+from .network import AffineLayer, FeedForwardNet, evaluate_batch, matrix_entries
 from .sampling import DistributionSpec, ErrorEstimate, mc_l2_errors, row_max
 
 FLOOR_COEFF = 120.0  # mse >= 1 / (FLOOR_COEFF * d^4.5)
@@ -61,41 +61,39 @@ class WeightGraph:
         return list(zip(i.tolist(), j.tolist()))
 
 
-def _strict_top_pair(absw: np.ndarray) -> tuple[int, int] | None:
-    """The two strictly largest-magnitude coordinates of a weight row.
-
-    Returns None when strictness fails: the second-largest magnitude is
-    matched by a third coordinate, or the pair magnitudes are zero.
-    """
-    order = np.argsort(-absw, kind="stable")
-    j1, j2 = int(order[0]), int(order[1])
-    if absw[j2] <= 0.0:
-        return None
-    if absw.size > 2 and absw[int(order[2])] >= absw[j2]:
-        return None
-    return (j1, j2) if j1 < j2 else (j2, j1)
-
-
 def build_weight_graph(first_layer: AffineLayer | np.ndarray) -> WeightGraph:
     """Apply the edge-removal rule to a first hidden layer.
 
-    Ties remove nothing (the rule is strict), so an all-zero layer leaves
-    the complete graph. All removing neurons are recorded per edge.
+    Reads the layer's stored entries (:func:`matrix_entries`), never a
+    dense view: sorted by row, then by falling magnitude, a neuron removes
+    the edge of its first two entries when the second is positive and no
+    third entry reaches it (a missing entry or a stored -0.0 counts as 0).
+    Ties remove nothing (the rule is strict), so their order never matters
+    and an all-zero layer leaves the complete graph. All removing neurons
+    are recorded per edge, in order.
     """
-    W = first_layer.weights if isinstance(first_layer, AffineLayer) else np.asarray(first_layer, dtype=np.float64)
+    W = (first_layer.matrix if isinstance(first_layer, AffineLayer)
+         else np.asarray(first_layer, dtype=np.float64))
     if W.ndim != 2:
         raise ValueError("first layer weights must be a matrix")
-    d = W.shape[1]
+    k, d = W.shape
+    rows, cols, values = matrix_entries(W)
+    mag = np.abs(values)
+    order = np.lexsort((-mag, rows))
+    rows, cols, mag = rows[order], cols[order], mag[order]
+    place = np.arange(rows.size) - np.searchsorted(rows, rows)  # rank in its row
+    lead = place < 3
+    top = np.zeros((k, 3))  # each row's three largest magnitudes, 0 if missing
+    top[rows[lead], place[lead]] = mag[lead]
+    top_cols = np.zeros((k, 3), dtype=np.int64)
+    top_cols[rows[lead], place[lead]] = cols[lead]
+    neurons = np.flatnonzero((top[:, 1] > 0.0) & (top[:, 2] < top[:, 1]))
+    i, j = np.sort(top_cols[neurons, :2], axis=1).T
     adj = ~np.eye(d, dtype=bool)
+    adj[i, j] = adj[j, i] = False
     removed: dict[tuple[int, int], list[int]] = {}
-    for m, row in enumerate(np.abs(W)):
-        if d < 2:
-            break
-        pair = _strict_top_pair(row)
-        if pair is None:
-            continue
-        adj[pair] = adj[pair[::-1]] = False
-        removed.setdefault(pair, []).append(m)
+    for m, edge in zip(neurons.tolist(), zip(i.tolist(), j.tolist())):
+        removed.setdefault(edge, []).append(m)
     return WeightGraph(
         d=d,
         adjacency=adj,
@@ -146,34 +144,29 @@ def _eliminate_null_vector(W: np.ndarray, tol: float) -> np.ndarray:
     """Gauss-Jordan elimination with full pivoting; returns a null vector.
 
     Deterministic: pivots maximize |entry| with first-index tie-breaks, and
-    the returned vector corresponds to the smallest-index free column.
+    the returned vector corresponds to the smallest-index free column. A
+    pivot clears its column in one step; rows holding +-0.0 there are skipped.
     """
-    A = W.astype(np.float64).copy()
+    A = W.astype(np.float64)
     k, d = A.shape
-    pivot_cols: list[int] = []
-    pivot_rows: list[int] = []
-    free_rows = list(range(k))
+    free_rows, free_cols = np.ones(k, dtype=bool), np.ones(d, dtype=bool)
+    pivots: list[tuple[int, int]] = []
     for _ in range(min(k, d)):
-        sub = np.abs(A[free_rows][:, [c for c in range(d) if c not in pivot_cols]])
+        sub = np.abs(A[np.ix_(free_rows, free_cols)])
         if sub.size == 0 or sub.max() <= tol:
             break
-        flat = int(np.argmax(sub))
-        ri, ci = divmod(flat, sub.shape[1])
-        row = free_rows[ri]
-        col = [c for c in range(d) if c not in pivot_cols][ci]
-        piv = A[row, col]
-        A[row] /= piv
-        for r in range(k):
-            if r != row and A[r, col] != 0.0:
-                A[r] -= A[r, col] * A[row]
-        pivot_rows.append(row)
-        pivot_cols.append(col)
-        free_rows.remove(row)
-    free_cols = [c for c in range(d) if c not in pivot_cols]
-    f = free_cols[0]
+        ri, ci = divmod(int(np.argmax(sub)), sub.shape[1])
+        row, col = np.flatnonzero(free_rows)[ri], np.flatnonzero(free_cols)[ci]
+        A[row] /= A[row, col]
+        others = A[:, col] != 0.0
+        others[row] = False
+        A[others] -= A[others, col, None] * A[row]
+        pivots.append((row, col))
+        free_rows[row] = free_cols[col] = False
+    f = np.flatnonzero(free_cols)[0]
     v = np.zeros(d)
     v[f] = 1.0
-    for row, col in zip(pivot_rows, pivot_cols):
+    for row, col in pivots:
         v[col] = -A[row, f]
     return v
 
@@ -308,6 +301,8 @@ def parallelotope_floors(
     1/(120 d^4.5). Each report is that of :func:`parallelotope_floor` on the
     net alone.
     """
+    if seed < 0:  # before kernel_constancy_deviation hands it to numpy
+        raise ValueError("seed must be a non-negative integer")
     nets = list(nets)
     if not nets:
         raise ValueError("need at least one net")

@@ -95,9 +95,17 @@ def _dense(shape, rows, cols, values) -> np.ndarray:
     return w
 
 
-def _csr_rows(m) -> np.ndarray:
-    """The row of each stored entry of a CSR matrix."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+def matrix_entries(matrix):
+    """The entries of a dense ndarray or a canonical CSR matrix whose bits
+    are nonzero, as the row-major (rows, cols, values) that
+    :func:`matrix_from_triplets` takes: -0.0 is an entry, +0.0 is not."""
+    if isinstance(matrix, np.ndarray):
+        w = np.ascontiguousarray(matrix, dtype=np.float64)
+        rows, cols = np.nonzero(w.view(np.uint64))
+        return rows, cols, w[rows, cols]
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    keep = matrix.data.view(np.uint64) != 0
+    return rows[keep], matrix.indices[keep], matrix.data[keep]
 
 
 def _stored(weights):
@@ -111,11 +119,9 @@ def _stored(weights):
         if not m.has_canonical_format:
             m = m.copy()
             m.sum_duplicates()
-        keep = m.data.view(np.uint64) != 0  # drops +0.0 only
-        if keep.all() and _stored_sparse(m.shape, m.nnz):
+        if m.data.view(np.uint64).all() and _stored_sparse(m.shape, m.nnz):
             return _csr(m.shape, m.indptr, m.indices, m.data)
-        return matrix_from_triplets(m.shape, _csr_rows(m)[keep], m.indices[keep],
-                                    m.data[keep])
+        return matrix_from_triplets(m.shape, *matrix_entries(m))
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     if w.ndim != 2:
         raise ValueError(f"weights must be a matrix, got ndim={w.ndim}")
@@ -123,8 +129,7 @@ def _stored(weights):
     if w.size >= SPARSE_MIN_WEIGHTS:
         bits = w.view(np.uint64)
         if _stored_sparse(w.shape, np.count_nonzero(bits)):
-            rows, cols = np.nonzero(bits)
-            return matrix_from_triplets(w.shape, rows, cols, w[rows, cols])
+            return matrix_from_triplets(w.shape, *matrix_entries(w))
     w.setflags(write=False)
     return w
 
@@ -172,9 +177,7 @@ class AffineLayer:
     def weights(self) -> np.ndarray:
         """W as a read-only dense array, built anew for a sparse layer."""
         m = self.matrix
-        if isinstance(m, np.ndarray):
-            return m
-        return _dense(m.shape, _csr_rows(m), m.indices, m.data)
+        return m if isinstance(m, np.ndarray) else _dense(m.shape, *matrix_entries(m))
 
     @property
     def out_width(self) -> int:

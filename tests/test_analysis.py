@@ -5,9 +5,12 @@ from the neighbor-intersection search it validates. Vertex labels are
 0-based throughout.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxnet import (
     AffineLayer,
@@ -15,6 +18,7 @@ from maxnet import (
     WeightGraph,
     build_parallelotope,
     build_weight_graph,
+    deep_max,
     depth3_max,
     error_floor,
     evaluate,
@@ -64,6 +68,43 @@ def narrow_net(rng, d: int, first_width: int, deep: bool = False) -> FeedForward
     last = layers[-1]
     layers[-1] = AffineLayer(last.weights, last.biases, apply_activation=False)
     return FeedForwardNet(input_dim=d, layers=tuple(layers))
+
+
+def strict_top_pair(absw: np.ndarray) -> tuple[int, int] | None:
+    """The reference rule on one dense row of magnitudes: the two strictly
+    largest coordinates, or None when the second is 0 or a third ties it."""
+    order = np.argsort(-absw, kind="stable")
+    j1, j2 = int(order[0]), int(order[1])
+    if absw[j2] <= 0.0:
+        return None
+    if absw.size > 2 and absw[int(order[2])] >= absw[j2]:
+        return None
+    return (j1, j2) if j1 < j2 else (j2, j1)
+
+
+def reference_graph(W: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Adjacency and removed_by of a dense W, one row at a time."""
+    d = W.shape[1]
+    adj = ~np.eye(d, dtype=bool)
+    removed: dict[tuple[int, int], list[int]] = {}
+    for m, row in enumerate(np.abs(W)):
+        if d < 2:
+            break
+        pair = strict_top_pair(row)
+        if pair is None:
+            continue
+        adj[pair] = adj[pair[::-1]] = False
+        removed.setdefault(pair, []).append(m)
+    return adj, {edge: tuple(ms) for edge, ms in removed.items()}
+
+
+def assert_reference_graph(g: WeightGraph, W: np.ndarray) -> None:
+    adj, removed = reference_graph(W)
+    np.testing.assert_array_equal(g.adjacency, adj)
+    assert list(g.removed_by.items()) == list(removed.items())  # order too
+
+
+TIE_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
 
 
 FIG3_WEIGHTS = np.array(
@@ -117,6 +158,66 @@ class TestWeightGraph:
         g = build_weight_graph(depth3_max(4, 100.0).layers[0])
         assert g.n_edges == 0
         assert find_triangle(g) is None
+
+
+class TestWeightGraphReference:
+    """The rule on stored entries against the per-row reference on W."""
+
+    @given(W=hnp.arrays(np.float64,
+                        st.tuples(st.integers(0, 12), st.integers(0, 8)),
+                        elements=st.sampled_from(TIE_VALUES)))
+    def test_small_dense_layers(self, W):
+        assert_reference_graph(build_weight_graph(W), W)
+        layer = AffineLayer(W, np.zeros(W.shape[0]))
+        assert_reference_graph(build_weight_graph(layer), W)
+
+    def test_layers_stored_sparse(self):
+        rng = np.random.default_rng(19)
+        k, d = 4096, 128  # 2^19 weights, about 2.8 per row
+        for values in (np.array(TIE_VALUES[1:]), None):
+            W = np.zeros((k, d))
+            for m, count in enumerate(rng.choice([0, 1, 2, 3, 4, 7], k)):
+                cols = rng.choice(d, count, replace=False)
+                W[m, cols] = (rng.choice(values, count) if values is not None
+                              else rng.standard_normal(count))
+            layer = AffineLayer(W, np.zeros(k))
+            assert not isinstance(layer.matrix, np.ndarray)
+            if values is not None:  # ties and stored -0.0 are there
+                negzero = np.signbit(layer.matrix.data) & (layer.matrix.data == 0)
+                assert negzero.any()
+            g = build_weight_graph(layer)
+            assert g.removed_by
+            assert_reference_graph(g, W)
+
+    @pytest.mark.parametrize("make", [lambda: depth3_max(64, 1e6),
+                                      lambda: deep_max(256, 1e6, 2),
+                                      lambda: deep_max(1024, 1e6, 2)])
+    def test_construction_first_layers(self, make):
+        first = make().layers[0]
+        assert_reference_graph(build_weight_graph(first), first.weights)
+
+    def test_layer_is_not_densified(self, monkeypatch):
+        layers = [depth3_max(8, 10.0).layers[0], deep_max(256, 1e6, 2).layers[0]]
+        want = [build_weight_graph(layer) for layer in layers]
+
+        def dense_view(layer):
+            raise AssertionError("the first layer was densified")
+        monkeypatch.setattr(AffineLayer, "weights", property(dense_view))
+        for layer, g in zip(layers, want):
+            got = build_weight_graph(layer)
+            np.testing.assert_array_equal(got.adjacency, g.adjacency)
+            assert got.removed_by == g.removed_by
+
+    def test_memory_of_a_sparse_first_layer(self):
+        # building the dense view and its |W| peaked at 180 MiB
+        first = deep_max(1024, 1e6, 2).layers[0]
+        tracemalloc.start()
+        try:
+            build_weight_graph(first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestMantel:
@@ -179,7 +280,48 @@ class TestMantel:
             assert find_triangle(g) is not None
 
 
+def loop_null_vector(W: np.ndarray, tol: float) -> np.ndarray:
+    """The reference elimination: index lists, and one row update at a
+    time, skipping rows whose pivot-column entry is +-0.0."""
+    A = W.astype(np.float64)
+    k, d = A.shape
+    pivot_cols, pivot_rows, free_rows = [], [], list(range(k))
+    for _ in range(min(k, d)):
+        cols = [c for c in range(d) if c not in pivot_cols]
+        sub = np.abs(A[free_rows][:, cols])
+        if sub.size == 0 or sub.max() <= tol:
+            break
+        ri, ci = divmod(int(np.argmax(sub)), sub.shape[1])
+        row, col = free_rows[ri], cols[ci]
+        A[row] /= A[row, col]
+        for r in range(k):
+            if r != row and A[r, col] != 0.0:
+                A[r] -= A[r, col] * A[row]
+        pivot_rows.append(row)
+        pivot_cols.append(col)
+        free_rows.remove(row)
+    f = next(c for c in range(d) if c not in pivot_cols)
+    v = np.zeros(d)
+    v[f] = 1.0
+    for row, col in zip(pivot_rows, pivot_cols):
+        v[col] = -A[row, f]
+    return v
+
+
 class TestKernelDirection:
+    def test_elimination_matches_the_row_loop(self):
+        rng = np.random.default_rng(13)
+        for t in range(600):
+            d = int(rng.integers(2, 12))
+            k = int(rng.integers(1, d))
+            W = [rng.standard_normal((k, d)),
+                 rng.integers(-3, 4, (k, d)).astype(float),
+                 rng.standard_normal((k, 1)) * rng.standard_normal((1, d)),
+                 rng.choice(TIE_VALUES, (k, d))][t % 4]
+            tol = analysis.RANK_TOL * max(float(np.abs(W).max()), 1.0)
+            got = analysis._eliminate_null_vector(W, tol)
+            assert got.view(np.uint64).tolist() == loop_null_vector(W, tol).view(np.uint64).tolist()
+
     def test_hand_null_space(self):
         kd = kernel_direction(np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(kd.v, [2**-0.5, 2**-0.5], atol=1e-12)
@@ -299,6 +441,12 @@ class TestParallelotopeFloor:
             parallelotope_floors([], n=1000)
         with pytest.raises(ValueError):
             parallelotope_floors([nets[0], narrow_net(rng, 5, first_width=2)], n=1000)
+
+    def test_negative_seed_is_named(self):
+        net = narrow_net(np.random.default_rng(5), 3, first_width=2)
+        for call in (parallelotope_floor, lambda net, **kw: parallelotope_floors([net], **kw)):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                call(net, n=1000, seed=-1)
 
     def test_floor_value(self):
         assert error_floor(3) == pytest.approx(5.94e-5, rel=2e-3)

@@ -337,6 +337,19 @@ class TestInternalErrors:
         assert err == f"maxnet: internal error: {detail}\n"
 
 
+# sha256 of `maxnet analyze --analysis weight-graph` reports on constructions
+# built with --alpha 1e6, as the per-neuron rule on the dense first layer
+# wrote them
+WEIGHT_GRAPH_SHA256 = [
+    (['depth3', '--d', '32'],
+     "caeb862a8f9bc736a81f9ed3c7770d0c9fc27183269160cfbd03fcc55f8adcfb"),
+    (['deep', '--d', '256', '--k', '2'],
+     "7336ddf697ab43600df140ceab590441ee4a1aea1fc315111e24e091dc71a370"),
+    (['deep', '--d', '1024', '--k', '2'],
+     "ea10c49e0d813dcbd1f69ba61e1d7810787d95d55bbe332ce4c1857eced8bb4e"),
+]
+
+
 class TestAnalyze:
     def test_weight_graph_three_neuron_example(self, tmp_path, capsys):
         net_file = tmp_path / "fig.json"
@@ -364,6 +377,16 @@ class TestAnalyze:
         assert code == 0
         assert len(stdout.splitlines()) == 1 and len(stdout) > 200
         assert json.loads(stdout) == json.loads(out.read_text())
+
+    @pytest.mark.parametrize("spec,digest", WEIGHT_GRAPH_SHA256)
+    def test_weight_graph_report_sha256(self, spec, digest, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        run(["construct", *spec, "--alpha", "1e6", "--out", str(net_file)], capsys)
+        out = tmp_path / "report.json"
+        code, _, _ = run(["analyze", "--net", str(net_file), "--analysis", "weight-graph",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_kernel_floor_single_neuron(self, tmp_path, capsys):
         net_file = tmp_path / "one.json"
@@ -540,6 +563,23 @@ class TestNegativeSeed:
                                 "--seed", "-1", "--out", str(out)], capsys)
             assert code == 2 and "seed must be a non-negative integer" in err
             assert not out.exists()
+
+
+    def test_kernel_floor_exits_2(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        net = FeedForwardNet(
+            input_dim=3,
+            layers=(
+                AffineLayer(np.array([[1.0, 2.0, 3.0]]), np.zeros(1)),
+                AffineLayer(np.array([[0.5]]), np.zeros(1), apply_activation=False),
+            ),
+        )
+        save(net, net_file)
+        out = tmp_path / "report.json"
+        code, _, err = run(["analyze", "--net", str(net_file), "--analysis", "kernel-floor",
+                            "--n", "1000", "--seed", "-1", "--out", str(out)], capsys)
+        assert code == 2 and "seed must be a non-negative integer" in err
+        assert not out.exists()
 
 
 class TestImportCost:
