@@ -3,15 +3,25 @@
 
 For each d, lists the exact tree, the depth-3 network, and the recursive
 construction at every k up to the linear-width regime, with the analytic
-width ceiling 20 d^(1+beta(k)) alongside the actual neuron counts.
+width ceiling 20 d^(1+beta(k)) alongside the actual neuron counts: the
+widest hidden layer and the hidden neurons summed over all layers.
 """
 
 import argparse
 import csv
-import math
 import sys
 
 from maxnet import beta, deep_shape, depth3_shape, max_k_for_width_bound
+
+
+def tree_shape(d: int) -> list[int]:
+    """Hidden layer widths of exact_max_tree(d): 3 units per pair of values
+    and 2 for an odd last value, until one value is left."""
+    widths = []
+    while d > 1:
+        widths.append(3 * (d // 2) + 2 * (d % 2))
+        d = d // 2 + d % 2
+    return widths
 
 
 def main() -> int:
@@ -21,15 +31,16 @@ def main() -> int:
     parser.add_argument("--out", default="-", help="CSV path or - for stdout")
     args = parser.parse_args()
 
-    rows = [["d", "construction", "k", "depth", "width", "width_bound"]]
+    rows = [["d", "construction", "k", "depth", "width", "width_bound", "hidden_neurons"]]
     for d in (int(t) for t in args.dims.split(",")):
-        tree_width = 3 * (d // 2) + 2 * (d % 2)  # the first layer's units
-        rows.append([d, "exact_tree", "", math.ceil(math.log2(d)) + 1, tree_width, ""])
-        rows.append([d, "depth3", 1, 3, depth3_shape(d)[0], 20 * d * d])
+        tree = tree_shape(d)
+        rows.append([d, "exact_tree", "", len(tree) + 1, max(tree, default=0), "", sum(tree)])
+        depth3 = depth3_shape(d)
+        rows.append([d, "depth3", 1, 3, max(depth3), 20 * d * d, sum(depth3)])
         for k in range(2, max_k_for_width_bound(d) + 1):
             widths = deep_shape(d, k)
             bound = 20 * d ** (1 + float(beta(k)))
-            rows.append([d, "deep", k, 2 * k + 1, max(widths), round(bound, 1)])
+            rows.append([d, "deep", k, 2 * k + 1, max(widths), round(bound, 1), sum(widths)])
 
     sink = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     csv.writer(sink, lineterminator="\n").writerows(rows)

@@ -33,32 +33,40 @@ CONSTANCY_TOL = 1e-9  # largest variation along the kernel parallelotope_floor a
 
 @dataclass(frozen=True)
 class WeightGraph:
-    """Graph on input coordinates left after first-layer edge removal.
-
-    ``removed_by`` maps each absent edge (i, j), i < j, 0-based, to the
-    indices of every neuron that removed it.
+    """Graph on input coordinates left after first-layer edge removal: the
+    complete graph on the d coordinates less the keys of ``removed_by``,
+    which maps each absent edge (i, j), 0 <= i < j < d, to the indices of
+    every neuron that removed it (none in a graph made by hand). No d x d
+    array is kept; :meth:`neighbours` builds one row on demand.
     """
 
     d: int
-    adjacency: np.ndarray
     removed_by: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    _absent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
-        if adj.shape != (self.d, self.d):
-            raise ValueError("adjacency must be d x d")
-        if not np.array_equal(adj, adj.T) or adj.trace() != 0:
-            raise ValueError("adjacency must be symmetric with no self-loops")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        if not all(len(e) == 2 and 0 <= e[0] < e[1] < self.d for e in self.removed_by):
+            raise ValueError(f"removed_by keys must be pairs 0 <= i < j < d = {self.d}")
+        ends = np.array(list(self.removed_by), dtype=np.int64).reshape(-1, 2).T
+        both = np.concatenate([ends, ends[::-1]], axis=1)  # each absent edge both ways
+        object.__setattr__(self, "_absent", both[:, np.argsort(both[0])])
 
     @property
     def n_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return self.d * (self.d - 1) // 2 - len(self.removed_by)
+
+    def neighbours(self, v: int) -> np.ndarray:
+        """Boolean mask over the d coordinates of the vertices joined to v."""
+        src, dst = self._absent
+        lo, hi = np.searchsorted(src, [v, v + 1])
+        mask = np.ones(self.d, dtype=bool)
+        mask[v] = mask[dst[lo:hi]] = False
+        return mask
 
     def edges(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adjacency, 1))
-        return list(zip(i.tolist(), j.tolist()))
+        """Every edge (i, j), i < j, in lexicographic order."""
+        return [(i, j) for i in range(self.d)
+                for j in (np.flatnonzero(self.neighbours(i)[i + 1:]) + i + 1).tolist()]
 
 
 def build_weight_graph(first_layer: AffineLayer | np.ndarray) -> WeightGraph:
@@ -89,34 +97,26 @@ def build_weight_graph(first_layer: AffineLayer | np.ndarray) -> WeightGraph:
     top_cols[rows[lead], place[lead]] = cols[lead]
     neurons = np.flatnonzero((top[:, 1] > 0.0) & (top[:, 2] < top[:, 1]))
     i, j = np.sort(top_cols[neurons, :2], axis=1).T
-    adj = ~np.eye(d, dtype=bool)
-    adj[i, j] = adj[j, i] = False
     removed: dict[tuple[int, int], list[int]] = {}
     for m, edge in zip(neurons.tolist(), zip(i.tolist(), j.tolist())):
         removed.setdefault(edge, []).append(m)
-    return WeightGraph(
-        d=d,
-        adjacency=adj,
-        removed_by={edge: tuple(ms) for edge, ms in removed.items()},
-    )
+    return WeightGraph(d=d, removed_by={edge: tuple(ms) for edge, ms in removed.items()})
 
 
 def find_triangle(g: WeightGraph) -> tuple[int, int, int] | None:
     """Lexicographically smallest triangle (i, j, k), or None.
 
-    Guaranteed to return a triangle whenever the edge count exceeds d^2/4.
+    Reads :meth:`WeightGraph.neighbours` rows; guaranteed to return a
+    triangle whenever the edge count exceeds d^2/4.
     """
-    adj = g.adjacency
     for i in range(g.d - 2):
-        row_i = adj[i]
-        for j in np.nonzero(row_i)[0]:
-            if j <= i:
-                continue
-            common = row_i & adj[j]
+        row_i = g.neighbours(i)
+        for j in (np.flatnonzero(row_i[i + 1:]) + i + 1).tolist():
+            common = row_i & g.neighbours(j)
             common[: j + 1] = False
-            ks = np.nonzero(common)[0]
+            ks = np.flatnonzero(common)
             if ks.size:
-                return (i, int(j), int(ks[0]))
+                return (i, j, int(ks[0]))
     return None
 
 

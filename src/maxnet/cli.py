@@ -264,7 +264,10 @@ def cmd_spectral(args) -> int:
 def cmd_sweep(args) -> int:
     if args.restarts < 1:
         raise ValueError("--restarts must be at least 1")
-    widths = [int(w) for w in args.widths.split(",")]
+    try:
+        widths = [int(w) for w in args.widths.split(",")]
+    except ValueError as exc:
+        raise ValueError("--widths must be comma-separated integers") from exc
     cells = width_sweep(
         args.depth, widths, DistributionSpec.uniform_box(args.d),
         seeds=tuple(range(args.seed, args.seed + args.restarts)),

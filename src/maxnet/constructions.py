@@ -53,8 +53,8 @@ def alpha_for_accuracy(d: int, R: float, epsilon: float) -> float:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if R <= 0 or epsilon <= 0:
-        raise ValueError("R and epsilon must be positive")
+    if not (0 < R < math.inf and 0 < epsilon < math.inf):
+        raise ValueError("R and epsilon must be positive and finite")
     return 2.0 * d * d * (d + 1) * (d + 1) * R * R / epsilon
 
 

@@ -19,7 +19,6 @@ from maxnet import (
     AffineLayer,
     DistributionSpec,
     FeedForwardNet,
-    WeightGraph,
     alpha_for_accuracy,
     beta,
     best_cells,
@@ -51,6 +50,7 @@ from maxnet import (
 from maxnet.cli import csv_text
 from maxnet.training import TrainConfig
 from spectral_oracles import dawson_quadrature_oracle, quadrature_transform_oracle
+from weight_graphs import graph_of
 
 pytestmark = pytest.mark.acceptance
 
@@ -303,7 +303,7 @@ def test_criterion_07_mantel_and_weight_graph():
         d = int(rng.integers(3, 31))
         upper = np.triu(rng.random((d, d)) < rng.random(), 1)
         adj = upper | upper.T
-        g = WeightGraph(d=d, adjacency=adj)
+        g = graph_of(adj)
         tri = find_triangle(g)
         brute = np.trace((adj.astype(np.int64) @ adj) @ adj) > 0
         if (tri is not None) != brute:
@@ -317,7 +317,7 @@ def test_criterion_07_mantel_and_weight_graph():
         adj = np.zeros((d, d), dtype=bool)
         adj[: d // 2, d // 2 :] = True
         adj |= adj.T
-        g = WeightGraph(d=d, adjacency=adj)
+        g = graph_of(adj)
         assert g.n_edges == (d * d) // 4
         assert find_triangle(g) is None
     # the three-neuron example reproduces the documented removals:

@@ -31,6 +31,7 @@ from maxnet import (
 )
 from maxnet import analysis
 from maxnet.analysis import kernel_constancy_deviation
+from weight_graphs import adjacency_of, graph_of
 
 
 def has_triangle_bruteforce(adj: np.ndarray) -> bool:
@@ -54,8 +55,7 @@ def target_values(para, X: np.ndarray) -> np.ndarray:
 
 def random_graph(rng, d: int, p: float) -> WeightGraph:
     upper = np.triu(rng.random((d, d)) < p, 1)
-    adj = upper | upper.T
-    return WeightGraph(d=d, adjacency=adj)
+    return graph_of(upper | upper.T)
 
 
 def narrow_net(rng, d: int, first_width: int, deep: bool = False) -> FeedForwardNet:
@@ -100,7 +100,7 @@ def reference_graph(W: np.ndarray) -> tuple[np.ndarray, dict]:
 
 def assert_reference_graph(g: WeightGraph, W: np.ndarray) -> None:
     adj, removed = reference_graph(W)
-    np.testing.assert_array_equal(g.adjacency, adj)
+    np.testing.assert_array_equal(adjacency_of(g), adj)
     assert list(g.removed_by.items()) == list(removed.items())  # order too
 
 
@@ -159,6 +159,38 @@ class TestWeightGraph:
         assert g.n_edges == 0
         assert find_triangle(g) is None
 
+    @pytest.mark.parametrize("make,n_edges,n_removed,triangle", [
+        (lambda: depth3_max(8, 1e6), 0, 28, None),
+        (lambda: depth3_max(32, 1e6), 0, 496, None),
+        (lambda: deep_max(64, 1e6, 2), 1920, 96, (0, 4, 8)),
+    ], ids=["depth3_8", "depth3_32", "deep_64_2"])
+    def test_construction_graphs(self, make, n_edges, n_removed, triangle):
+        g = build_weight_graph(make().layers[0])
+        assert g.n_edges == n_edges
+        assert len(g.removed_by) == n_removed
+        assert find_triangle(g) == triangle
+
+    def test_graph_is_its_removed_edges(self):
+        g = WeightGraph(d=4, removed_by={(0, 1): (), (2, 3): (5,)})
+        assert g.n_edges == 4
+        assert g.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert g.neighbours(0).tolist() == [False, False, True, True]
+        assert find_triangle(g) is None  # the 4-cycle 0-2-1-3
+        assert WeightGraph(d=3).edges() == [(0, 1), (0, 2), (1, 2)]
+
+    def test_adjacency_round_trip(self):
+        rng = np.random.default_rng(20)
+        for d in range(0, 25):
+            upper = np.triu(rng.random((d, d)) < rng.random(), 1)
+            adj = upper | upper.T
+            np.testing.assert_array_equal(adjacency_of(graph_of(adj)), adj)
+
+    @pytest.mark.parametrize("key", [(1, 0), (2, 2), (-1, 2), (0, 4), (3, 5), (0, 1, 2)],
+                             ids=str)
+    def test_malformed_keys_are_rejected(self, key):
+        with pytest.raises(ValueError, match="pairs 0 <= i < j < d"):
+            WeightGraph(d=4, removed_by={(0, 1): (), key: ()})
+
 
 class TestWeightGraphReference:
     """The rule on stored entries against the per-row reference on W."""
@@ -205,7 +237,7 @@ class TestWeightGraphReference:
         monkeypatch.setattr(AffineLayer, "weights", property(dense_view))
         for layer, g in zip(layers, want):
             got = build_weight_graph(layer)
-            np.testing.assert_array_equal(got.adjacency, g.adjacency)
+            np.testing.assert_array_equal(adjacency_of(got), adjacency_of(g))
             assert got.removed_by == g.removed_by
 
     def test_memory_of_a_sparse_first_layer(self):
@@ -219,17 +251,30 @@ class TestWeightGraphReference:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
 
+    def test_memory_without_a_d_by_d_adjacency(self):
+        # a dense d x d adjacency and its symmetry check peaked at 520.6 MiB
+        first = deep_max(16384, 1e6, 4).layers[0]
+        tracemalloc.start()
+        try:
+            g = build_weight_graph(first)
+            triangle = find_triangle(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n_edges, len(g.removed_by), triangle) == (134201732, 7804, (0, 2, 4))
+        assert peak < 32 * 2**20, peak
+
 
 class TestMantel:
     def test_complete_triangle(self):
-        g = WeightGraph(d=3, adjacency=~np.eye(3, dtype=bool))
+        g = graph_of(~np.eye(3, dtype=bool))
         assert find_triangle(g) == (0, 1, 2)
 
     def test_four_cycle_at_threshold_has_none(self):
         adj = np.zeros((4, 4), dtype=bool)
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             adj[i, j] = adj[j, i] = True
-        g = WeightGraph(d=4, adjacency=adj)
+        g = graph_of(adj)
         assert g.n_edges == 4 == mantel_edge_threshold(4)
         assert find_triangle(g) is None
 
@@ -239,7 +284,7 @@ class TestMantel:
             adj = np.zeros((d, d), dtype=bool)
             adj[:left, left:] = True
             adj |= adj.T
-            g = WeightGraph(d=d, adjacency=adj)
+            g = graph_of(adj)
             assert g.n_edges == (d * d) // 4
             assert find_triangle(g) is None
             assert not has_triangle_bruteforce(adj)
@@ -250,11 +295,14 @@ class TestMantel:
         for _ in range(400):
             d = int(rng.integers(3, 31))
             g = random_graph(rng, d, float(rng.random()))
+            adj = adjacency_of(g)
+            assert g.n_edges == int(adj.sum()) // 2
+            assert g.edges() == list(zip(*(a.tolist() for a in np.nonzero(np.triu(adj, 1)))))
             tri = find_triangle(g)
-            assert (tri is not None) == has_triangle_bruteforce(g.adjacency)
+            assert (tri is not None) == has_triangle_bruteforce(adj)
             if tri is not None:
                 i, j, k = tri
-                assert g.adjacency[i, j] and g.adjacency[j, k] and g.adjacency[i, k]
+                assert adj[i, j] and adj[j, k] and adj[i, k]
             if g.n_edges > mantel_edge_threshold(d):
                 over_threshold += 1
                 assert tri is not None
@@ -264,7 +312,7 @@ class TestMantel:
         adj = np.zeros((5, 5), dtype=bool)
         for i, j in [(0, 3), (0, 4), (3, 4), (0, 1), (1, 2), (0, 2)]:
             adj[i, j] = adj[j, i] = True
-        g = WeightGraph(d=5, adjacency=adj)
+        g = graph_of(adj)
         assert find_triangle(g) == (0, 1, 2)
 
     def test_narrow_layer_forces_triangle_for_d_at_least_11(self):

@@ -142,6 +142,15 @@ class TestConstruct:
         assert code == 0
         assert stats(load(out)).max_abs_weight == pytest.approx(7200.0)
 
+    @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--epsilon", "nan"],
+                                       ["--epsilon", "0.01", "--R", "inf"]])
+    def test_non_finite_epsilon_or_R_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "net.json"
+        code, _, err = run(["construct", "depth3", "--d", "4", *flags, "--out", str(out)],
+                           capsys)
+        assert code == 2 and "R and epsilon must be positive and finite" in err
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path, capsys):
         out = tmp_path / "net.json"
         run(["construct", "exact-tree", "--d", "3", "--out", str(out)], capsys)
@@ -485,6 +494,7 @@ class TestSweep:
         (["--lr", "inf"], "lr"),
         (["--lr", "0"], "lr"),
         (["--restarts", "0"], "--restarts"),
+        (["--widths", "2,x"], "--widths must be comma-separated integers"),
     ])
     def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, flags, named):
         out = tmp_path / "sweep.csv"

@@ -28,6 +28,7 @@ from maxnet import (
     alpha_for_accuracy,
     batch_split,
     beta,
+    build_weight_graph,
     deep_max,
     deep_shape,
     depth3_max,
@@ -35,6 +36,7 @@ from maxnet import (
     evaluate,
     evaluate_batch,
     exact_max_tree,
+    find_triangle,
     is_delta_separated,
     max_k_for_width_bound,
     rescale_to_box,
@@ -373,6 +375,17 @@ class TestDeep:
         assert all(is_delta_separated(x, 1.0 / alpha) for x in X)
         err = np.abs(evaluate_batch(net, X) - X.max(axis=1))
         assert err.max() <= 1e-9 * alpha, err.max()
+        # the first layer's weight graph, where a d x d adjacency alone
+        # would take 4.3 GB
+        tracemalloc.start()
+        try:
+            g = build_weight_graph(net.layers[0])
+            triangle = find_triangle(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n_edges, len(g.removed_by), triangle) == (2147431170, 19710, (0, 2, 4))
+        assert peak < 64 * 2**20, peak
 
     def test_sparse_build_memory(self):
         # the dense layers of deep_max(1024, 1e6, 2) hold about 470 MB
@@ -541,10 +554,11 @@ class TestDepthWidthTable:
         out = subprocess.run([sys.executable, str(script), "--dims", ",".join(map(str, dims))],
                              env=env, capture_output=True, text=True, check=True).stdout
         rows = list(csv.reader(out.splitlines()))
-        assert rows[0] == ["d", "construction", "k", "depth", "width", "width_bound"]
+        assert rows[0] == ["d", "construction", "k", "depth", "width", "width_bound",
+                           "hidden_neurons"]
         # per d: the tree, then k = 1 .. max_k_for_width_bound(d)
         assert len(rows) == 1 + sum(max_k_for_width_bound(d) + 1 for d in dims)
-        for d, kind, k, depth, width, _ in rows[1:]:
+        for d, kind, k, depth, width, _, hidden in rows[1:]:
             d = int(d)
             if kind == "exact_tree":
                 net = exact_max_tree(d)
@@ -552,6 +566,7 @@ class TestDepthWidthTable:
                 net = deep_max(d, 1.0, int(k))
             s = stats(net)
             assert (int(depth), int(width)) == (s.depth, s.width), (d, kind, k)
+            assert int(hidden) == s.size - 1, (d, kind, k)
 
 
 class TestAlphaForAccuracy:
@@ -570,6 +585,12 @@ class TestAlphaForAccuracy:
             alpha_for_accuracy(4, 1.0, 0.0)
         with pytest.raises(ValueError):
             alpha_for_accuracy(4, -1.0, 0.1)
+
+    @pytest.mark.parametrize("R,epsilon", [(1.0, math.inf), (math.inf, 1.0),
+                                           (1.0, math.nan), (math.nan, 1.0)])
+    def test_non_finite_R_or_epsilon_is_named(self, R, epsilon):
+        with pytest.raises(ValueError, match="R and epsilon must be positive and finite"):
+            alpha_for_accuracy(4, R, epsilon)
 
 
 class TestNumericSupportLemmas:
