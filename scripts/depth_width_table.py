@@ -11,17 +11,7 @@ import argparse
 import csv
 import sys
 
-from maxnet import beta, deep_shape, depth3_shape, max_k_for_width_bound
-
-
-def tree_shape(d: int) -> list[int]:
-    """Hidden layer widths of exact_max_tree(d): 3 units per pair of values
-    and 2 for an odd last value, until one value is left."""
-    widths = []
-    while d > 1:
-        widths.append(3 * (d // 2) + 2 * (d % 2))
-        d = d // 2 + d % 2
-    return widths
+from maxnet import beta, deep_shape, depth3_shape, exact_max_tree, max_k_for_width_bound
 
 
 def main() -> int:
@@ -33,7 +23,7 @@ def main() -> int:
 
     rows = [["d", "construction", "k", "depth", "width", "width_bound", "hidden_neurons"]]
     for d in (int(t) for t in args.dims.split(",")):
-        tree = tree_shape(d)
+        tree = [layer.out_width for layer in exact_max_tree(d).hidden_layers]
         rows.append([d, "exact_tree", "", len(tree) + 1, max(tree, default=0), "", sum(tree)])
         depth3 = depth3_shape(d)
         rows.append([d, "depth3", 1, 3, max(depth3), 20 * d * d, sum(depth3)])

@@ -17,7 +17,8 @@ explicit mean squared error floor 1/(120 d^4.5) over uniform [0,1]^d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,13 +39,16 @@ class WeightGraph:
     which maps each absent edge (i, j), 0 <= i < j < d, to the indices of
     every neuron that removed it (none in a graph made by hand). No d x d
     array is kept; :meth:`neighbours` builds one row on demand.
+    ``removed_by`` is a read-only copy of the mapping given, so the graph
+    and its index of absent edges cannot drift apart.
     """
 
     d: int
-    removed_by: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    removed_by: Mapping[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     _absent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "removed_by", MappingProxyType(dict(self.removed_by)))
         if not all(len(e) == 2 and 0 <= e[0] < e[1] < self.d for e in self.removed_by):
             raise ValueError(f"removed_by keys must be pairs 0 <= i < j < d = {self.d}")
         ends = np.array(list(self.removed_by), dtype=np.int64).reshape(-1, 2).T

@@ -82,7 +82,8 @@ def batch_split(d: int, k: int) -> list[int]:
     of size at most ceil(d^(beta(k))) and at least 1.
     """
     q = 2**k - 1
-    n_batches = _ceil_root_pow(d, q - 1, q)
+    # past q = d log2 d, (d - 1)^q < d^(q-1): the root is d, and d^(q-1) is huge
+    n_batches = d if q > d * d.bit_length() else _ceil_root_pow(d, q - 1, q)
     base, rem = divmod(d, n_batches)
     return [base + 1 if i < rem else base for i in range(n_batches)]
 
@@ -168,6 +169,12 @@ def _depth3_hidden(sizes: list[int], alpha: float):
 def _deep_triplets(d: int, alpha: float, k: int):
     """Weights of the depth-(2k+1) maximum of d inputs, layer by layer, as
     (shape, rows, cols, values) in row-major order."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     sizes = batch_split(d, k)  # [d] when k == 1
     hidden = _depth3_hidden(sizes, alpha)
     if k == 1:
@@ -190,21 +197,14 @@ def _deep_triplets(d: int, alpha: float, k: int):
     return hidden + [merged] + inner[1:]
 
 
-def _deep_net(d: int, alpha: float, k: int, metadata: str) -> FeedForwardNet:
-    """The depth-(2k+1) maximum of d inputs, each layer stored by the
-    storage rule straight from its triplets; all biases are zero."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    *hidden, out = _deep_triplets(d, alpha, k)
-    layers = [AffineLayer(matrix_from_triplets(*spec), np.zeros(spec[0][0]))
-              for spec in hidden]
-    layers.append(AffineLayer(matrix_from_triplets(*out), np.zeros(1),
-                              apply_activation=False))
-    return FeedForwardNet(input_dim=d, layers=tuple(layers), metadata=metadata)
+def _net(d: int, specs, metadata: str) -> FeedForwardNet:
+    """The net whose layers are the (shape, rows, cols, values) ``specs``,
+    each stored by the storage rule straight from its triplets; all biases
+    are zero and only the last layer is affine."""
+    layers = tuple(AffineLayer(matrix_from_triplets(*spec), np.zeros(spec[0][0]),
+                               apply_activation=i < len(specs) - 1)
+                   for i, spec in enumerate(specs))
+    return FeedForwardNet(input_dim=d, layers=layers, metadata=metadata)
 
 
 def depth3_max(d: int, alpha: float) -> FeedForwardNet:
@@ -213,7 +213,7 @@ def depth3_max(d: int, alpha: float) -> FeedForwardNet:
     Exact on 1/alpha-separated inputs; |output| <= ||x||_1 everywhere.
     max |weight| is max(alpha, 1) and all biases are zero.
     """
-    return _deep_net(d, alpha, 1, f"depth3_max d={d} alpha={alpha!r}")
+    return _net(d, _deep_triplets(d, alpha, 1), f"depth3_max d={d} alpha={alpha!r}")
 
 
 def deep_max(d: int, alpha: float, k: int) -> FeedForwardNet:
@@ -231,7 +231,31 @@ def deep_max(d: int, alpha: float, k: int) -> FeedForwardNet:
     max(alpha, 1). Exact on 1/alpha-separated inputs and bounded by
     ||x||_1 everywhere.
     """
-    return _deep_net(d, alpha, k, f"deep_max d={d} alpha={alpha!r} k={k}")
+    return _net(d, _deep_triplets(d, alpha, k), f"deep_max d={d} alpha={alpha!r} k={k}")
+
+
+def _tree_triplets(d: int):
+    """Weights of the pairwise-max tree of d inputs, layer by layer, as
+    (shape, rows, cols, values) in row-major order."""
+    specs = []
+    value, sign = np.arange(d), np.ones(d)  # unit u enters value[u] as sign[u]
+    while (n := value[-1] + 1) > 1:
+        n_pairs, odd = divmod(n, 2)
+        # units 3p..3p + 2 of pair (a, b) = (2p, 2p + 1) are relu(a - b),
+        # relu(b), relu(-b), so a unit of a enters 3p and one of b 3p..3p + 2
+        # as -, +, -; an odd last value enters 3p, 3p + 1 as +, -
+        p, b = np.divmod(value, 2)
+        reps = 1 + 2 * b + (value == 2 * n_pairs)
+        j = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows, cols = 3 * np.repeat(p, reps) + j, np.repeat(np.arange(len(value)), reps)
+        vals = np.repeat(sign, reps)
+        np.negative(vals, out=vals, where=(j + np.repeat(b, reps)) % 2 == 1)
+        order = np.lexsort((cols, rows))
+        width = 3 * n_pairs + 2 * odd
+        specs.append(((width, len(value)), rows[order], cols[order], vals[order]))
+        value, sign = np.arange(width) // 3, np.ones(width)
+        sign[2::3] = sign[3 * n_pairs + 1 :] = -1.0
+    return specs + [((1, len(value)), value, np.arange(len(value)), sign)]  # every value is 0
 
 
 def exact_max_tree(d: int) -> FeedForwardNet:
@@ -239,35 +263,13 @@ def exact_max_tree(d: int) -> FeedForwardNet:
 
     Computes max(x) for every x in R^d up to float rounding, via
     max(a, b) = relu(a-b) + relu(b) - relu(-b) applied along a binary tree.
-    d = 1 yields the affine identity network.
+    Every layer is built from +-1 index/value triplets and stored by the
+    storage rule, in O(d) memory; all biases are zero. d = 1 yields the
+    affine identity network.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    layers: list[AffineLayer] = []
-    C = np.eye(d)  # the current values are C h, h the previous layer's outputs
-    while len(C) > 1:
-        n_pairs, odd = divmod(len(C), 2)
-        m = 3 * n_pairs
-        # units 3p, 3p + 1, 3p + 2 of pair (a, b) = (2p, 2p + 1) are
-        # relu(a - b), relu(b), relu(-b); an odd last value v passes as
-        # relu(v) - relu(-v) through the last two units
-        W = np.empty((m + 2 * odd, C.shape[1]))
-        a, b = slice(0, 2 * n_pairs, 2), slice(1, 2 * n_pairs, 2)
-        np.subtract(C[a], C[b], out=W[0:m:3])
-        W[1:m:3] = C[b]
-        np.negative(C[b], out=W[2:m:3])
-        if odd:
-            W[m] = C[-1]
-            np.negative(C[-1], out=W[m + 1])
-        sign = np.ones(len(W))  # of each unit in its pair's maximum
-        sign[2:m:3] = sign[m + 1 :] = -1.0
-        # every bias is 0.0, negated to -0.0 on the negated units
-        layers.append(AffineLayer(W, np.copysign(0.0, sign)))
-        units = np.arange(len(W))
-        C = np.zeros((n_pairs + odd, len(W)))
-        C[units // 3, units] = sign  # unit u feeds value u // 3, odd value too
-    layers.append(AffineLayer(C, np.zeros(1), apply_activation=False))
-    return FeedForwardNet(input_dim=d, layers=tuple(layers), metadata=f"exact_max_tree d={d}")
+    return _net(d, _tree_triplets(d), f"exact_max_tree d={d}")
 
 
 def _map_values(matrix, f):

@@ -178,6 +178,20 @@ class TestWeightGraph:
         assert find_triangle(g) is None  # the 4-cycle 0-2-1-3
         assert WeightGraph(d=3).edges() == [(0, 1), (0, 2), (1, 2)]
 
+    def test_removed_by_is_read_only(self):
+        g = WeightGraph(d=3)
+        with pytest.raises(TypeError):
+            g.removed_by[(0, 1)] = ()
+        assert g.n_edges == 3 and g.neighbours(0).tolist() == [False, True, True]
+
+    def test_mutating_the_given_mapping_leaves_the_graph(self):
+        removed = {(0, 1): (4,)}
+        g = WeightGraph(d=3, removed_by=removed)
+        removed[(1, 2)] = ()
+        del removed[(0, 1)]
+        assert g.removed_by == {(0, 1): (4,)}
+        assert g.n_edges == 2 and g.edges() == [(0, 2), (1, 2)]
+
     def test_adjacency_round_trip(self):
         rng = np.random.default_rng(20)
         for d in range(0, 25):

@@ -36,9 +36,10 @@ def figure_net(path):
 
 
 # sha256 of `maxnet construct` outputs. The nets whose layers are all dense
-# are written as maxnet-ffn/1, and their files must not change; deep at
-# d = 256 and 512 and depth3 at d = 64 hold sparse layers and are written as
-# maxnet-ffn/2, whose files load to the arrays of their /1 files
+# are written as maxnet-ffn/1, and their files must not change (the trees at
+# d = 7 and 64 changed once, when their zero weights and biases became +0.0);
+# deep at d = 256 and 512 and depth3 at d = 64 hold sparse layers and are
+# written as maxnet-ffn/2, whose files load to the arrays of their /1 files
 CONSTRUCT_SHA256 = [
     (['depth3', '--d', '2', '--alpha', '0.5'],
      "65a63e4719f2f9858c4b59575cad9ed8c2edee07430159b605ed2998f4a4d076"),
@@ -91,9 +92,9 @@ CONSTRUCT_SHA256 = [
     (['exact-tree', '--d', '1'],
      "f79dd78d727ea35621215394c6c3ac511f92d91142ff81f12b61fd623f0e8b8d"),
     (['exact-tree', '--d', '7'],
-     "2c15715e3c543bbc717a6f4843f46c005fbb8f0954323818c55a355d55eeb61b"),
+     "853dad65e4808aa0363f6cc02263af839a512a91d39c509bb2ac418527ff4b9c"),
     (['exact-tree', '--d', '64'],
-     "c98f0396ebf9990b7f80fca7d629a4de1ef7c86657a69a7b89589e80928e3f0f"),
+     "7e6a327c3be91637ae7a7873fb38698d24f17b851fa82590755a9207bbd308c6"),
 ]
 
 
@@ -132,6 +133,21 @@ class TestConstruct:
         code, _, _ = run(["construct", "exact-tree", "--d", "7", "--out", str(out)], capsys)
         assert code == 0
         assert stats(load(out)).depth == math.ceil(math.log2(7)) + 1 == 4
+
+    def test_exact_tree_at_4096_is_written_sparse(self, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        code, _, _ = run(["construct", "exact-tree", "--d", "4096", "--out", str(out)], capsys)
+        assert code == 0
+        assert out.stat().st_size < 4 * 10**6
+        assert json.loads(out.read_text())["format"] == "maxnet-ffn/2"
+
+    def test_deep_at_a_huge_k(self, tmp_path, capsys):
+        # 2^64 - 1 is the exponent of the top split, which is 4 batches of 1
+        out = tmp_path / "net.json"
+        code, stdout, _ = run(["construct", "deep", "--d", "4", "--k", "64", "--alpha", "2",
+                               "--out", str(out)], capsys)
+        assert code == 0
+        assert "depth=129" in stdout
 
     def test_epsilon_picks_alpha(self, tmp_path, capsys):
         out = tmp_path / "net.json"

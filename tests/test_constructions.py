@@ -44,6 +44,7 @@ from maxnet import (
     stats,
     DistributionSpec,
 )
+from maxnet.constructions import _ceil_root_pow
 from maxnet.network import SPARSE_MIN_WEIGHTS, deserialize, serialize
 
 
@@ -147,8 +148,9 @@ def stored_bytes(net) -> int:
 
 def loop_exact_tree(d: int):
     """(weights, biases) of each layer of exact_max_tree(d), written pair by
-    pair from the current values v = C h + c: the reference for the strided
-    assembly, which must match it bit for bit, -0.0 included."""
+    pair from the current values v = C h + c: the reference for the triplet
+    build, which must match it bit for bit once the reference's zeros, some
+    of them -0.0 here, are mapped to +0.0."""
     layers = []
     C, c = np.eye(d), np.zeros(d)
     while len(C) > 1:
@@ -270,6 +272,15 @@ class TestDeep:
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
+
+    def test_split_at_a_huge_k(self):
+        # q = 2^64 - 1: the exact power d^(q-1) would never fit in memory,
+        # and past q = d log2 d the root is d itself
+        assert batch_split(4, 64) == [1, 1, 1, 1]
+        for d in range(2, 65):
+            for k in range(1, 11):
+                q = 2**k - 1
+                assert len(batch_split(d, k)) == _ceil_root_pow(d, q - 1, q), (d, k)
 
     def test_batching_arithmetic_d16_k2(self):
         # ceil(16^(1/3)) = 3 per batch, ceil(16^(2/3)) = 7 batches
@@ -448,11 +459,36 @@ class TestExactTree:
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_assembly_matches_loop_reference(self):
-        for d in [*range(1, 70), 127, 128, 129]:
+        # from d = 419 the first layer meets the storage rule and is held as CSR
+        for d in [*range(1, 70), 127, 128, 129, 418, 419, 420, 1000]:
             net = exact_max_tree(d)
             for layer, (w, b) in zip(net.layers, loop_exact_tree(d), strict=True):
-                assert np.array_equal(layer.weights.view(np.uint64), w.view(np.uint64)), d
-                assert np.array_equal(layer.biases.view(np.uint64), b.view(np.uint64)), d
+                assert np.array_equal(layer.weights.view(np.uint64), (w + 0.0).view(np.uint64)), d
+                assert np.array_equal(layer.biases.view(np.uint64), (b + 0.0).view(np.uint64)), d
+
+    def test_large_layers_are_stored_sparse(self):
+        assert isinstance(exact_max_tree(418).layers[0].matrix, np.ndarray)
+        net = exact_max_tree(419)
+        assert [isinstance(l.matrix, np.ndarray) for l in net.layers] == [False] + [True] * 9
+        # 8192 nonzero weights in a first layer of 6144 x 4096
+        assert stored_bytes(exact_max_tree(4096)) < 2 * 2**20
+
+    def test_paper_scale(self):
+        # a dense build's identity matrix alone would take 32 GiB at d = 65536
+        d = 65536
+        tracemalloc.start()
+        try:
+            net = exact_max_tree(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+        s = stats(net)
+        assert (s.depth, s.width) == (17, 98304) and s.size <= 8 * d
+        rng = np.random.default_rng(d)
+        X = np.vstack([rng.random((32, d)), rng.standard_normal((32, d))])
+        err = np.abs(evaluate_batch(net, X) - X.max(axis=1))
+        assert np.all(err <= 4 * 16 * 2.0**-53 * np.abs(X).max(axis=1))
 
     def test_not_bit_exact_even_on_nonnegative_inputs(self):
         net = exact_max_tree(2)

@@ -37,6 +37,15 @@ from maxnet.network import (
 )
 
 
+def child_env(**extra) -> dict[str, str]:
+    """The environment of a child Python that imports this maxnet: the
+    package's source directory leads PYTHONPATH."""
+    src = str(Path(network.__file__).parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def single_relu_neuron() -> FeedForwardNet:
     return FeedForwardNet(
         input_dim=1,
@@ -311,7 +320,7 @@ class TestStorage:
             "    maxnet.evaluate_batch(net, np.random.default_rng(0).random((64, net.input_dim)))\n"
             "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
         )
-        subprocess.run([sys.executable, "-c", code], check=True, env=None)
+        subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
 
 
 def one_pass(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
@@ -440,8 +449,8 @@ class TestRowTiles:
             "                bad.append((d, *widths, n, layout))\n"
             "assert not bad, bad\n"
         )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=child_env(OPENBLAS_NUM_THREADS="1"))
 
     def test_layer_wider_than_the_budget(self, monkeypatch):
         # a layer wider than TILE_BYTES / 8 values still gets whole tiles
