@@ -104,6 +104,8 @@ def _stats_line(net: FeedForwardNet) -> str:
 
 
 def cmd_construct(args) -> int:
+    if args.alpha is not None and args.epsilon is not None:
+        raise ValueError("give --alpha or --epsilon, not both")
     if args.kind in ("depth3", "deep"):
         alpha = args.alpha
         if args.epsilon is not None:
@@ -173,6 +175,13 @@ def cmd_error(args) -> int:
     return 0
 
 
+# Most edges a weight-graph report lists. The recursion's first layer has
+# d(d-1)/2 - O(d) of them: 523,776 at d = 1024, 2.1e9 at d = 65536, where
+# the list would not fit in memory. A larger graph's report gives its
+# count and removed edges, with "edges": null.
+REPORT_MAX_EDGES = 2**20
+
+
 def cmd_analyze(args) -> int:
     net = load(args.net)
     if args.analysis == "weight-graph":
@@ -182,7 +191,8 @@ def cmd_analyze(args) -> int:
             "analysis": "weight-graph",
             "d": graph.d,
             "n_edges": graph.n_edges,
-            "edges": [list(e) for e in graph.edges()],
+            "edges": ([list(e) for e in graph.edges()]
+                      if graph.n_edges <= REPORT_MAX_EDGES else None),
             "removed_edges": {
                 f"{i},{j}": list(ms) for (i, j), ms in sorted(graph.removed_by.items())
             },

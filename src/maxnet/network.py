@@ -18,10 +18,14 @@ from typing import Sequence
 import numpy as np
 
 FORMAT_TAG = "maxnet-ffn/1"
-"""Tag of a network file whose layers all hold dense ``weights`` rows."""
+"""Tag of a network file whose layers all hold dense ``weights`` rows; it
+is read, no longer written."""
 CSR_FORMAT_TAG = "maxnet-ffn/2"
-"""Tag of a network file in which the layers stored sparse are written as
-CSR arrays (``shape``, ``indptr``, ``indices``, ``values``)."""
+"""Tag of a network file whose layers are written as CSR arrays
+(``shape``, ``indptr``, ``indices``, ``values``) or, in files written
+before every layer was, as dense ``weights`` rows."""
+_SEPARATORS = (",", ":")
+"""json's separators for a file without whitespace."""
 
 
 class ParseError(ValueError):
@@ -79,10 +83,15 @@ def matrix_from_triplets(shape: tuple[int, int], rows, cols, values):
     entries, so no dense matrix is built for a layer stored sparse.
     """
     if _stored_sparse(shape, len(values)):
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return _csr(shape, indptr, np.asarray(cols, dtype=np.int64), values)
+        return _csr(shape, _indptr(shape[0], rows), np.asarray(cols, dtype=np.int64), values)
     return _dense(shape, rows, cols, values)
+
+
+def _indptr(n_rows: int, rows) -> np.ndarray:
+    """The CSR row pointer of entries in the sorted ``rows``."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
 
 
 def _dense(shape, rows, cols, values) -> np.ndarray:
@@ -407,76 +416,61 @@ def stats(net: FeedForwardNet) -> NetStats:
     return NetStats(depth=depth, width=width, size=size, max_abs_weight=max_abs)
 
 
-def _json_array(a: np.ndarray, pad: str) -> str:
-    """A 1-D or 2-D array of floats or ints laid out as
-    ``json.dumps(..., indent=1)`` lays out ``a.tolist()`` where its closing
-    bracket is indented by ``pad``.
-
-    json writes every int with ``int.__repr__`` and every finite float with
-    ``float.__repr__``; ``AffineLayer`` admits no other values, so json's
-    NaN and Infinity cases never arise.
-    """
-    if not len(a):
-        return "[]"
-    inner = pad + " "
-    if a.ndim == 1:
-        items = map(repr, a.tolist())
-    else:
-        items = (_json_array(row, inner) for row in a)
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+JSON_CHUNK = 256
+"""Numbers of an array that :func:`serialize` hands json in one call.
+Until it returns, json's C encoder holds about 12 times the text it
+writes (Python 3.11), on top of the array's list, about 40 B a number.
+Whole layers at once made serialize's peak 15-24 times their text; in
+chunks of 256 numbers it was 2.9-3.2 times the whole text of
+``deep_max(64, 1e6, 2)``, ``depth3_max(32, 1e3)`` and
+``deep_max(1024, 1e6, 2)``, with the time within noise of larger chunks."""
 
 
-def _layer_arrays(layer: AffineLayer) -> list[tuple[str, np.ndarray]]:
-    """The fields of a layer's entry that hold arrays, in file order: a
-    dense layer's ``weights`` rows, or the CSR arrays of a sparse one,
-    then ``biases``."""
-    m = layer.matrix
-    if isinstance(m, np.ndarray):
-        fields = [("weights", m)]
-    else:
-        fields = [("shape", np.array(m.shape)), ("indptr", m.indptr),
-                  ("indices", m.indices), ("values", m.data)]
-    return [*fields, ("biases", layer.biases)]
+def _json_numbers(a: np.ndarray) -> list[str]:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` for a 1-D array,
+    in pieces that json encodes one chunk at a time."""
+    chunks = (
+        json.dumps(a[i:i + JSON_CHUNK].tolist(), separators=_SEPARATORS)[1:-1]
+        for i in range(0, len(a), JSON_CHUNK)
+    )
+    return ["[", ",".join(chunks), "]"]
 
 
 def serialize(net: FeedForwardNet) -> str:
-    """Serialize to a self-describing JSON document.
+    """Serialize to a self-describing JSON document, ``maxnet-ffn/2``.
 
-    A net whose layers are all dense is written as ``maxnet-ffn/1``, with
-    each layer's ``weights`` rows. A net with a layer stored sparse is
-    written as ``maxnet-ffn/2``: there a sparse layer's entry holds its
-    ``shape`` and the ``indptr``, ``indices`` and ``values`` arrays of its
-    canonical CSR matrix, and a dense layer's entry is as in ``/1``. So the
-    storage rule picks the layout, and no sparse layer is written densely.
+    Every layer's entry holds the ``shape`` of its matrix and the
+    ``indptr``, ``indices`` and ``values`` arrays of its canonical CSR
+    form, whether the layer is stored dense or sparse: the entries whose
+    bits are nonzero, so -0.0 is written and +0.0 is not. Then come its
+    ``biases`` and ``apply_activation``.
 
-    The text is byte for byte what ``json.dumps(doc, indent=1)`` writes for
-    the whole document, but only the scalar header goes through json, which
-    also escapes ``metadata``. With ``indent`` set, json falls back to its
-    pure-Python encoder and walks every value one at a time, so the arrays
-    are written by :func:`_json_array`, which hands each row to ``repr``
-    and ``str.join`` in one call.
-
-    Floats are emitted with Python's shortest round-trip repr, so
+    The text is ``json.dumps(doc, separators=(",", ":"))`` byte for byte,
+    but json encodes the header and each array apart, an array in chunks of
+    :data:`JSON_CHUNK` numbers, so the lists of one chunk exist at a time.
+    Floats are written with Python's shortest round-trip repr, so
     deserialize(serialize(net)) reproduces weights bit-exactly.
     """
-    dense = all(isinstance(layer.matrix, np.ndarray) for layer in net.layers)
     head = json.dumps(
         {
-            "format": FORMAT_TAG if dense else CSR_FORMAT_TAG,
+            "format": CSR_FORMAT_TAG,
             "input_dim": net.input_dim,
             "activation": "relu",
             "metadata": net.metadata,
         },
-        indent=1,
+        separators=_SEPARATORS,
     )
-    parts = [head[: -len("\n}")], ',\n "layers": [']
-    for layer in net.layers:
-        parts.append("\n  {")
-        for key, a in _layer_arrays(layer):
-            parts += [f'\n   "{key}": ', _json_array(a, "   "), ","]
-        parts += ['\n   "apply_activation": ', json.dumps(layer.apply_activation), "\n  },"]
-    parts[-1] = "\n  }"  # no comma after the last layer
-    parts.append("\n ]\n}")
+    parts = [head[:-1], ',"layers":[']
+    for i, layer in enumerate(net.layers):
+        m = layer.matrix
+        rows, cols, values = matrix_entries(m)
+        fields = {"shape": np.array(m.shape), "indptr": _indptr(m.shape[0], rows),
+                  "indices": cols, "values": values, "biases": layer.biases}
+        parts.append(",{" if i else "{")
+        for key, a in fields.items():
+            parts += [f'"{key}":', *_json_numbers(a), ","]
+        parts += ['"apply_activation":', json.dumps(layer.apply_activation), "}"]
+    parts.append("]}")
     return "".join(parts)
 
 
@@ -513,13 +507,13 @@ def _int64(value: list, key: str, where: str, message: str) -> np.ndarray:
         raise ParseError(f"{key!r} {message}", f"{where}.{key}") from None
 
 
-def _csr_fields(entry: dict, where: str):
-    """The shape, indptr, indices and values of the CSR entry of a layer
-    in a ``maxnet-ffn/2`` document, once they are checked to be canonical
-    as :class:`AffineLayer` stores them: indptr runs from 0 to the number
-    of entries without decreasing, the indices of each row lie in range and
-    strictly increase, and every value is finite with nonzero bits (-0.0 is
-    kept, +0.0 is never stored)."""
+def _csr_triplets(entry: dict, where: str):
+    """The shape, rows, columns and values of the CSR entry of a layer in
+    a ``maxnet-ffn/2`` document, as :func:`matrix_from_triplets` takes
+    them, once the entry is checked to be canonical: indptr runs from 0 to
+    the number of entries without decreasing, the indices of each row lie
+    in range and strictly increase, and every value is finite with nonzero
+    bits (-0.0 is kept, +0.0 is never stored)."""
     shape = _require(entry, "shape", where)
     if not (type(shape) is list and len(shape) == 2
             and all(type(s) is int and s >= 0 for s in shape)):
@@ -556,18 +550,21 @@ def _csr_fields(entry: dict, where: str):
     if not values.view(np.uint64).all():
         raise ParseError("'values' must not hold +0.0, which is never stored",
                          f"{where}.values")
-    return (n_rows, n_cols), indptr, indices, values
+    return (n_rows, n_cols), np.repeat(np.arange(n_rows), np.diff(indptr)), indices, values
 
 
 def deserialize(text: str) -> FeedForwardNet:
-    """Parse a document produced by :func:`serialize`, of either format.
+    """Parse a network document: a ``maxnet-ffn/2`` one as
+    :func:`serialize` writes it, or a ``maxnet-ffn/1`` one, whose layers
+    hold dense ``weights`` rows; a ``/2`` layer may hold such rows too.
 
     Raises :class:`ParseError` with a location for malformed documents and
     ``ValueError`` for structurally valid documents that describe an
     inconsistent network (e.g. mismatched layer widths). A CSR entry is
-    built as a CSR array straight from its lists, and every layer goes
-    through :class:`AffineLayer`, so a loaded net holds the arrays of the
-    net that was saved.
+    built straight into its stored form, so a layer the storage rule keeps
+    dense never loads ``scipy.sparse``, and every layer goes through
+    :class:`AffineLayer`, so a loaded net holds the arrays of the net that
+    was saved.
     """
     try:
         doc = json.loads(text)
@@ -592,9 +589,9 @@ def deserialize(text: str) -> FeedForwardNet:
         if not isinstance(entry, dict):
             raise ParseError("layer entry must be an object", where)
         if tag == CSR_FORMAT_TAG and "weights" not in entry:
-            csr, weights = _csr_fields(entry, where), None
+            triplets, weights = _csr_triplets(entry, where), None
         else:
-            csr, weights = None, _require_numbers(entry, "weights", where, rows=True)
+            triplets, weights = None, _require_numbers(entry, "weights", where, rows=True)
         biases = _require_numbers(entry, "biases", where)
         apply_activation = _require(entry, "apply_activation", where)
         if not isinstance(apply_activation, bool):
@@ -604,7 +601,7 @@ def deserialize(text: str) -> FeedForwardNet:
             )
         try:
             layer = AffineLayer(
-                weights=_csr(*csr) if csr else np.asarray(weights, dtype=np.float64),
+                weights=matrix_from_triplets(*triplets) if triplets else weights,
                 biases=np.asarray(biases, dtype=np.float64),
                 apply_activation=apply_activation,
             )

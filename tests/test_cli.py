@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import maxnet
-from maxnet import AffineLayer, FeedForwardNet, cli, load, save, stats
+from maxnet import (
+    AffineLayer, FeedForwardNet, cli, deep_max, depth3_max, exact_max_tree, load, save, stats,
+)
 from maxnet.cli import main
+from net_arrays import assert_same_arrays
 
 
 def run(argv, capsys):
@@ -35,67 +38,78 @@ def figure_net(path):
     return net
 
 
-# sha256 of `maxnet construct` outputs. The nets whose layers are all dense
-# are written as maxnet-ffn/1, and their files must not change (the trees at
-# d = 7 and 64 changed once, when their zero weights and biases became +0.0);
-# deep at d = 256 and 512 and depth3 at d = 64 hold sparse layers and are
-# written as maxnet-ffn/2, whose files load to the arrays of their /1 files
+# sha256 of `maxnet construct` outputs: maxnet-ffn/2 files, in which every
+# layer, dense or sparse, is written as the CSR arrays of its entries, in
+# compact JSON. Each file must also load to the arrays of the net built in
+# memory, so a digest changes only with the bytes of the layout or of a
+# construction's weights
 CONSTRUCT_SHA256 = [
     (['depth3', '--d', '2', '--alpha', '0.5'],
-     "65a63e4719f2f9858c4b59575cad9ed8c2edee07430159b605ed2998f4a4d076"),
+     "c2b080e15290bb1e1a5b2a3274bde42c7f2d317f82debcc16e4f79dff67db9ec"),
     (['depth3', '--d', '8', '--alpha', '0.5'],
-     "5e42b90d53d307f596128db62f2e172b822a80f9da92a432c6107bee23faa028"),
+     "eeac95962fe4215b53b02da9c432f07f9ee58f3ac38fe51378296ea1b10116a0"),
     (['depth3', '--d', '32', '--alpha', '0.5'],
-     "9a28dd86e0ab9df42c8bcffdc245c7c627696518aa9d4b5d9279a70d294674bc"),
+     "2a375de8212d0a4e9ab18adeccceccdb6765e6c20217f5d69c9a1d09ddd60552"),
     (['depth3', '--d', '64', '--alpha', '0.5'],
-     "7df9d4c81cebbd5070a49432115dbc00a1c4810cf39c8137b9ad6c0024f2eda6"),
+     "4e088fa869dc9a9aa8e532d45dc3fda23aadd51879d92b1357dde50e83cc81e5"),
     (['deep', '--d', '16', '--k', '2', '--alpha', '0.5'],
-     "b1fc96d12a34bae079dee6203fd947c58bb17d5312dd292e5e3de47fddb8e0d2"),
+     "2a4e6bf8fdf44d3cd926f7fc5cc6c13b5af723cc4c9145f570e87bf3aedb31fc"),
     (['deep', '--d', '58', '--k', '3', '--alpha', '0.5'],
-     "9d146e0ca13370aaf2cd170e47b874ce1de50faec2cabc959c17e7e7c7377383"),
+     "a2aeb3274a0414adf87401ca0e354be6fdb7114a1b9f6a5d137c04296f26785c"),
     (['deep', '--d', '256', '--k', '2', '--alpha', '0.5'],
-     "9267d308f4709e143619afbbc0bbb9fd57a0cffb69cfe7f0a409d645cedf3b26"),
+     "c8087e7b983f84880601f4ff0399c3d8e8e3189213e4afb680cb3a94725ece95"),
     (['deep', '--d', '512', '--k', '3', '--alpha', '0.5'],
-     "56ef4d5fc23553fb1ba3f94fe5b7d8fc855590eabb7897c3754fbd6b9376c744"),
+     "7abafedc767059f20b68c10e1151892092d49d5590b902160331cdd66637d388"),
     (['depth3', '--d', '2', '--alpha', '7'],
-     "bf441fe0128dd3b1320faac3289807695e38fcb32c1fab27704117e0b22b223f"),
+     "09ac553b1f871762c329d85a6e49094a92a99965bc0b42cb00481f2859a6bb34"),
     (['depth3', '--d', '8', '--alpha', '7'],
-     "96e0f0d6fc826605ffde15e8b75d08a4bb9ec08dcb1268a733a00bfbfccf92c5"),
+     "99c52a697c80ab566a140e9c546e45c77f9667a49178feb3ad07aaabd10b0cba"),
     (['depth3', '--d', '32', '--alpha', '7'],
-     "ec2d1126c1958dbee4e4e41cd0da391a0e82ed6f82f5ab313ed4fa549dc18ac0"),
+     "4fe797fbb6789e0f634813d05598a4af60fe5ee9ff88c4f8b4864a485e4b62cf"),
     (['depth3', '--d', '64', '--alpha', '7'],
-     "4ec0aeafb8dca374e97400c79c1de0f61b1b5aa0b3e7ce5b919ce54df6bd523e"),
+     "2fb8fb12df522b4bd78dd1e2f169489556e0e05c3aeef56843ded3a0b694afe0"),
     (['deep', '--d', '16', '--k', '2', '--alpha', '7'],
-     "7f3813f518c54a588133387fae5390fbd82481bf2614bb555f0600760e491160"),
+     "1f97cc4e2170354d0528d23fbbe2b33ef79a42e5f2d72fe771919b71ff120209"),
     (['deep', '--d', '58', '--k', '3', '--alpha', '7'],
-     "c39252a5e47479d60d292a43029e3d57941cdba160467f1317b0c88e29561c00"),
+     "2f5b344a9664c0492b3c339af55c19872d072ca7a5d8ac42c83dd0f5626ac343"),
     (['deep', '--d', '256', '--k', '2', '--alpha', '7'],
-     "e125b5c81c0186ad49c010c3ccb53e43831fb348683388efe63137c3641e5f9b"),
+     "ea3350fdeaf41d117b27931d7aa9c1a7b89b569bc1ad5f23d7e462609dced10a"),
     (['deep', '--d', '512', '--k', '3', '--alpha', '7'],
-     "d27e0017ad296aa419499a45ca8e17a3ef21c1de414798eef4a7143c9ffd3670"),
+     "b512d279dc7c18d34eb9cbe75ac1e2d3a9c1d0df02ea0ae63396dfca7f820dad"),
     (['depth3', '--d', '2', '--alpha', '1e6'],
-     "0b12ad4efe254ae6d3988ee1cf77d97c7416ab06ff5c90dcb798bc4bf0cca56a"),
+     "43cc223ba1aa263db6eea9c95229db2c2e1b1cddae4e15f2674d5c0d30f0139c"),
     (['depth3', '--d', '8', '--alpha', '1e6'],
-     "4fd45cf7bdd97eb52c90db5b5a1f37b1280a6097e1b5910d64df4bc02455c9ed"),
+     "ddc344446c1d25c323d6da3ba85b3f968a242e31404aac49f16ec2482a1f5560"),
     (['depth3', '--d', '32', '--alpha', '1e6'],
-     "9d70aa01b7751f02cc1d40e192125a7e36ed0a2cde0380a5ee034dc053340c2f"),
+     "2cf72b378907e697079d201f70988d04de377bbde18fd36c3c0116483a00c1a7"),
     (['depth3', '--d', '64', '--alpha', '1e6'],
-     "56bcba728c3fcd5cf229befbb909c312cd885a3b2113569661d095ce871780f9"),
+     "83aa4d51e6add20fff88b30806b68357647e53a954e748874b6e158761f3080d"),
     (['deep', '--d', '16', '--k', '2', '--alpha', '1e6'],
-     "b571273e08e33fc17d3bf0e652202bd6cb9b5ad16d8b3ffa94882c46f13aa85f"),
+     "d7c3e7f65de2e226dc79a377cb14120640e7fe4427eb9b57465ee2d71cbe8a35"),
     (['deep', '--d', '58', '--k', '3', '--alpha', '1e6'],
-     "9400e83be47e8758813e3094ceee86bffef5183f30f086b60e979716c2dc9415"),
+     "7a05480ae0447c583f91d402bf67315762ecdd82b8f99fa14372fbcd172352a4"),
     (['deep', '--d', '256', '--k', '2', '--alpha', '1e6'],
-     "5613fc019f361fb503c216b84206b4c64984231612356ff936a1472e22052d00"),
+     "4030edf35d0c8d7b292764d7d1631137b6c6cd55e70e67164a0418250163e0af"),
     (['deep', '--d', '512', '--k', '3', '--alpha', '1e6'],
-     "516902b1d2141cf571b162dad485cc7ac8cf6d9bbeb296d0419a4efc86e722c8"),
+     "5e8a9a02cda0df003e034b46072c17698b97927204e7ec0a40634f2f3fcbd1f8"),
     (['exact-tree', '--d', '1'],
-     "f79dd78d727ea35621215394c6c3ac511f92d91142ff81f12b61fd623f0e8b8d"),
+     "ff0369187a4a4999b01b82491901165a565ea28d4b5d6e2b6ee0591d665480a3"),
     (['exact-tree', '--d', '7'],
-     "853dad65e4808aa0363f6cc02263af839a512a91d39c509bb2ac418527ff4b9c"),
+     "b89b7d30e2e0127291a238f944a446b89ddcecdd41db536fcd66e20284ffba3d"),
     (['exact-tree', '--d', '64'],
-     "7e6a327c3be91637ae7a7873fb38698d24f17b851fa82590755a9207bbd308c6"),
+     "ff973577f4b1550c734c31a6e798a35e7ac485cc2632dc489d74a4fe63aef29e"),
 ]
+
+
+def built(argv: list[str]) -> FeedForwardNet:
+    """The net that `maxnet construct` builds for ``argv``, built in memory."""
+    kind, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    d = int(flags["--d"])
+    if kind == "depth3":
+        return depth3_max(d, float(flags["--alpha"]))
+    if kind == "deep":
+        return deep_max(d, float(flags["--alpha"]), int(flags["--k"]))
+    return exact_max_tree(d)
 
 
 class TestConstruct:
@@ -106,6 +120,7 @@ class TestConstruct:
         code, _, _ = run(["construct", *argv, "--out", str(out)], capsys)
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert_same_arrays(built(argv), load(out))
 
     def test_depth3_stats_line(self, tmp_path, capsys):
         out = tmp_path / "net.json"
@@ -157,6 +172,14 @@ class TestConstruct:
         )
         assert code == 0
         assert stats(load(out)).max_abs_weight == pytest.approx(7200.0)
+
+    @pytest.mark.parametrize("kind", ["depth3", "deep", "exact-tree"])
+    def test_alpha_with_epsilon_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "net.json"
+        code, _, err = run(["construct", kind, "--d", "4", "--alpha", "7",
+                            "--epsilon", "1e-2", "--out", str(out)], capsys)
+        assert code == 2 and "--alpha" in err and "--epsilon" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--epsilon", "nan"],
                                        ["--epsilon", "0.01", "--R", "inf"]])
@@ -313,7 +336,7 @@ class TestError:
         net_file = tmp_path / "net.json"
         run(["construct", "exact-tree", "--d", "2", "--out", str(net_file)], capsys)
         doc = json.loads(net_file.read_text())
-        doc["layers"][0]["weights"][0][0] = "1e3"
+        doc["layers"][0]["values"][0] = "1e3"
         net_file.write_text(json.dumps(doc))
         csv = tmp_path / "x.csv"
         code, _, err = run(
@@ -321,7 +344,7 @@ class TestError:
              "--seed", "1", "--out", str(csv)],
             capsys,
         )
-        assert code == 2 and "layers[0].weights" in err
+        assert code == 2 and "layers[0].values" in err
         assert not csv.exists()
 
     def test_missing_net_file_exits_2(self, tmp_path, capsys):
@@ -412,6 +435,22 @@ class TestAnalyze:
                           "--out", str(out)], capsys)
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_weight_graph_over_the_edge_cap_lists_no_edges(self, tmp_path, capsys):
+        # the full list took 213.5 MB and 3356 MiB of RSS here
+        net_file = tmp_path / "net.json"
+        run(["construct", "deep", "--d", "4096", "--k", "4", "--alpha", "1e6",
+             "--out", str(net_file)], capsys)
+        out = tmp_path / "report.json"
+        code, _, _ = run(["analyze", "--net", str(net_file), "--analysis", "weight-graph",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["n_edges"] == 8384817 > cli.REPORT_MAX_EDGES
+        assert report["edges"] is None
+        assert len(report["removed_edges"]) == 4096 * 4095 // 2 - 8384817
+        assert report["triangle"] is not None
+        assert out.stat().st_size < 10**6
 
     def test_kernel_floor_single_neuron(self, tmp_path, capsys):
         net_file = tmp_path / "one.json"

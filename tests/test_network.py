@@ -35,6 +35,7 @@ from maxnet import network
 from maxnet.network import (
     CSR_FORMAT_TAG, FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS,
 )
+from net_arrays import assert_same_arrays
 
 
 def child_env(**extra) -> dict[str, str]:
@@ -308,7 +309,8 @@ class TestStorage:
                 h = np.maximum(h, 0.0)
         np.testing.assert_allclose(evaluate_batch(net, X), h[:, 0], rtol=1e-12, atol=1e-9)
 
-    def test_small_nets_never_import_scipy_sparse(self):
+    def test_small_nets_never_import_scipy_sparse(self, tmp_path):
+        # saving and loading too: every layer is written as CSR entries
         code = (
             "import sys, numpy as np, maxnet\n"
             "from maxnet.training import TrainConfig\n"
@@ -316,11 +318,15 @@ class TestStorage:
             "                  lr=0.05, batch=64, steps=20, seed=1)\n"
             "nets = [maxnet.depth3_max(32, 1e3), maxnet.train(cfg).net,\n"
             "        maxnet.deep_max(32, 1e4, 2)]\n"
+            "for net in nets[:2]:\n"
+            "    maxnet.save(net, sys.argv[1])\n"
+            "    nets.append(maxnet.load(sys.argv[1]))\n"
             "for net in nets:\n"
             "    maxnet.evaluate_batch(net, np.random.default_rng(0).random((64, net.input_dim)))\n"
             "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
         )
-        subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "net.json")],
+                       check=True, env=child_env())
 
 
 def one_pass(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
@@ -492,11 +498,11 @@ class TestRowTiles:
 
 
 def reference_serialize(net: FeedForwardNet, csr: bool = False) -> str:
-    """The document as json's own encoder writes it. By default it is the
-    maxnet-ffn/1 document, with every layer's ``weights`` rows. With
-    ``csr`` it is the layout serialize must reproduce byte for byte: a net
-    with a layer stored sparse becomes maxnet-ffn/2, and each such layer
-    holds the CSR arrays of its matrix."""
+    """A document in an earlier layout, which deserialize still reads, as
+    json's indent=1 encoder writes it. By default it is the maxnet-ffn/1
+    document, with every layer's ``weights`` rows. With ``csr`` a net with
+    a layer stored sparse becomes maxnet-ffn/2, where each such layer holds
+    the CSR arrays of its matrix and every other one its ``weights``."""
     csr = csr and any(map(is_sparse, net.layers))
     layers = []
     for layer in net.layers:
@@ -519,25 +525,38 @@ def reference_serialize(net: FeedForwardNet, csr: bool = False) -> str:
     return json.dumps(doc, indent=1)
 
 
-def assert_same_arrays(net: FeedForwardNet, clone: FeedForwardNet) -> None:
-    """The two nets hold the same arrays, bit for bit, stored the same way."""
-    assert (clone.input_dim, clone.metadata) == (net.input_dim, net.metadata)
-    for a, b in zip(net.layers, clone.layers, strict=True):
-        assert type(a.matrix) is type(b.matrix) and a.matrix.shape == b.matrix.shape
-        if is_sparse(a):
-            for x, y in ((a.matrix.indptr, b.matrix.indptr),
-                         (a.matrix.indices, b.matrix.indices)):
-                assert x.dtype == y.dtype and np.array_equal(x, y)
-        values_a, values_b = network._values(a.matrix), network._values(b.matrix)
-        assert np.array_equal(values_a.view(np.uint64), values_b.view(np.uint64))
-        assert np.array_equal(a.biases.view(np.uint64), b.biases.view(np.uint64))
-        assert a.apply_activation == b.apply_activation
+def entries_doc(net: FeedForwardNet) -> dict:
+    """The maxnet-ffn/2 document serialize writes: every layer, dense or
+    sparse, holds the CSR arrays of the entries of its dense weights whose
+    bits are nonzero."""
+    layers = []
+    for layer in net.layers:
+        w = layer.weights
+        stored = w.view(np.uint64) != 0
+        layers.append({
+            "shape": list(w.shape),
+            "indptr": [0, *np.cumsum(stored.sum(axis=1)).tolist()],
+            "indices": np.nonzero(stored)[1].tolist(),
+            "values": w[stored].tolist(),
+            "biases": layer.biases.tolist(),
+            "apply_activation": layer.apply_activation,
+        })
+    return {
+        "format": CSR_FORMAT_TAG,
+        "input_dim": net.input_dim,
+        "activation": "relu",
+        "metadata": net.metadata,
+        "layers": layers,
+    }
 
 
 def assert_serialize_matches_reference(net: FeedForwardNet) -> None:
+    """serialize writes the entries document as compact JSON, and that
+    text and both earlier layouts all load to the net's arrays."""
     text = serialize(net)
-    assert text == reference_serialize(net, csr=True)
-    assert_same_arrays(net, deserialize(text))
+    assert text == json.dumps(entries_doc(net), separators=(",", ":"))
+    for saved in (text, reference_serialize(net), reference_serialize(net, csr=True)):
+        assert_same_arrays(net, deserialize(saved))
 
 
 # floats whose repr is easy to get wrong: signed zero, the smallest
@@ -572,7 +591,8 @@ def small_nets(draw):
 
 
 class TestSerializeBytes:
-    """serialize writes exactly what json.dumps(doc, indent=1) would."""
+    """serialize writes exactly what json.dumps(doc, separators=(",", ":"))
+    writes for the entries document."""
 
     @settings(max_examples=200, deadline=None)
     @given(net=small_nets())
@@ -741,7 +761,8 @@ MALFORMED_CSR = {
 
 
 class TestCsrFormat:
-    """maxnet-ffn/2: the layers stored sparse are written as CSR arrays."""
+    """maxnet-ffn/2: every layer is written as the CSR arrays of its
+    matrix, however it is stored."""
 
     @pytest.mark.parametrize("make", [
         lambda: depth3_max(64, 7.0), lambda: deep_max(256, 1e6, 2),
@@ -760,6 +781,12 @@ class TestCsrFormat:
         text = serialize(net)
         assert json.loads(text[:text.index(",")] + "}")["format"] == CSR_FORMAT_TAG
         assert_same_arrays(net, deserialize(text))
+
+    def test_bytes_per_stored_weight(self):
+        # json's indent=1 layout took 25.96 B per stored weight here
+        net = deep_max(4096, 1e6, 4)
+        stored = sum(network._values(layer.matrix).size for layer in net.layers)
+        assert len(serialize(net)) <= 16 * stored
 
     def test_format_1_file_of_a_sparse_net_still_loads(self):
         net = deep_max(256, 1e6, 2)
@@ -824,6 +851,15 @@ class TestCsrFormat:
         assert_same_arrays(net, clone)
 
 
+def depth3_docs(field: str = "biases") -> list[dict]:
+    """The documents of depth3_max(2, 10.0) in the layouts whose layers hold
+    ``field``, among the two the reader takes: as serialize writes it, with
+    CSR entries, and as maxnet-ffn/1, with ``weights`` rows."""
+    net = depth3_max(2, 10.0)
+    docs = [json.loads(serialize(net)), json.loads(reference_serialize(net))]
+    return [doc for doc in docs if field in doc["layers"][0]]
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact_evaluation(self):
         net = depth3_max(3, 100.0)
@@ -851,38 +887,38 @@ class TestSerialization:
 
     @pytest.mark.parametrize("tag", [None, "maxnet-ffn/3", "", 1])
     def test_missing_or_unknown_format_rejected(self, tag):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        if tag is None:
-            del doc["format"]
-        else:
-            doc["format"] = tag
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location in ("root", "format")
+        for doc in depth3_docs():
+            if tag is None:
+                del doc["format"]
+            else:
+                doc["format"] = tag
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location in ("root", "format")
 
     @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
     def test_non_integer_input_dim_rejected(self, value):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        doc["input_dim"] = value
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location == "input_dim"
+        for doc in depth3_docs():
+            doc["input_dim"] = value
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location == "input_dim"
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_non_bool_apply_activation_rejected(self, value):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        doc["layers"][0]["apply_activation"] = value
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location == "layers[0].apply_activation"
+        for doc in depth3_docs():
+            doc["layers"][0]["apply_activation"] = value
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location == "layers[0].apply_activation"
 
     @pytest.mark.parametrize("field", ["weights", "biases", "apply_activation"])
     def test_missing_layer_field_is_parse_error(self, field):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        del doc["layers"][1][field]
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location == "layers[1]"
+        for doc in depth3_docs(field):
+            del doc["layers"][1][field]
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location == "layers[1]"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -894,64 +930,67 @@ class TestSerialization:
             ("biases", True),
             ("biases", "0"),
             ("biases", [0.0]),
+            *((field, value) for field in ("values", "indices")
+              for value in ("1e3", True, None, [0.5], 10**400)),
         ],
+        ids=lambda v: "10**400" if v == 10**400 else None,
     )
     def test_non_number_parameter_is_parse_error(self, field, value):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        entry = doc["layers"][1]
-        if field == "weights":
-            entry["weights"][0][-1] = value
-        else:
-            entry["biases"][0] = value
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location == f"layers[1].{field}"
+        for doc in depth3_docs(field):
+            entry = doc["layers"][1]
+            if field == "weights":
+                entry["weights"][0][-1] = value
+            else:
+                entry[field][0] = value
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location == f"layers[1].{field}"
 
     @pytest.mark.parametrize(
         "field, value",
         [("weights", 1.0), ("weights", [1.0, 2.0]), ("weights", {}), ("biases", 0.0)],
     )
     def test_parameter_of_wrong_nesting_is_parse_error(self, field, value):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        doc["layers"][0][field] = value
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location == f"layers[0].{field}"
+        for doc in depth3_docs(field):
+            doc["layers"][0][field] = value
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location == f"layers[0].{field}"
 
     def test_integer_parameters_are_accepted(self):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        doc["layers"][0]["biases"] = [0] * len(doc["layers"][0]["biases"])
-        net = deserialize(json.dumps(doc))
-        assert net.layers[0].biases.dtype == np.float64
-        assert not net.layers[0].biases.any()
+        for doc in depth3_docs():
+            doc["layers"][0]["biases"] = [0] * len(doc["layers"][0]["biases"])
+            net = deserialize(json.dumps(doc))
+            assert net.layers[0].biases.dtype == np.float64
+            assert not net.layers[0].biases.any()
 
     def test_oversized_integer_is_validation_error(self):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
+        [doc] = depth3_docs("weights")
         doc["layers"][0]["weights"][0][0] = 10**400
         with pytest.raises(ValueError, match=r"layers\[0\]"):
             deserialize(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [5, None, True, ["x"]])
     def test_non_string_metadata_is_parse_error(self, value):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        doc["metadata"] = value
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location == "metadata"
+        for doc in depth3_docs():
+            doc["metadata"] = value
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location == "metadata"
 
     @pytest.mark.parametrize("value", [5, None, ["relu"], "softplus"])
     def test_non_string_activation_is_parse_error(self, value):
-        doc = json.loads(serialize(depth3_max(2, 10.0)))
-        doc["activation"] = value
-        with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.location == "activation"
+        for doc in depth3_docs():
+            doc["activation"] = value
+            with pytest.raises(ParseError) as exc:
+                deserialize(json.dumps(doc))
+            assert exc.value.location == "activation"
 
     def test_mismatched_widths_is_validation_error(self):
-        net = depth3_max(2, 10.0)
-        doc = serialize(net).replace('"input_dim": 2', '"input_dim": 3')
-        with pytest.raises(ValueError):
-            deserialize(doc)
+        for doc in depth3_docs():
+            doc["input_dim"] = 3
+            with pytest.raises(ValueError):
+                deserialize(json.dumps(doc))
 
 
 class TestProperties:
