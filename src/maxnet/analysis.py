@@ -89,11 +89,12 @@ def build_weight_graph(first_layer: AffineLayer | np.ndarray) -> WeightGraph:
     if W.ndim != 2:
         raise ValueError("first layer weights must be a matrix")
     k, d = W.shape
-    rows, cols, values = matrix_entries(W)
+    indptr, cols, values = matrix_entries(W)
+    rows = np.repeat(np.arange(k), np.diff(indptr))
     mag = np.abs(values)
     order = np.lexsort((-mag, rows))
-    rows, cols, mag = rows[order], cols[order], mag[order]
-    place = np.arange(rows.size) - np.searchsorted(rows, rows)  # rank in its row
+    cols, mag = cols[order], mag[order]
+    place = np.arange(rows.size) - indptr[rows]  # rank in its row
     lead = place < 3
     top = np.zeros((k, 3))  # each row's three largest magnitudes, 0 if missing
     top[rows[lead], place[lead]] = mag[lead]
@@ -141,7 +142,6 @@ class KernelDirection:
     v: np.ndarray
     perm: tuple[int, ...]
     v1: float
-    residual: float
 
 
 def _eliminate_null_vector(W: np.ndarray, tol: float) -> np.ndarray:
@@ -205,8 +205,7 @@ def kernel_direction(W: AffineLayer | np.ndarray) -> KernelDirection:
     sign = 1.0 if v[m] >= 0 else -1.0
     v = sign * v / np.linalg.norm(v)
     perm = (m, *[i for i in range(d) if i != m])
-    residual = float(np.abs(W @ v).max()) if scale else 0.0
-    return KernelDirection(v=v, perm=perm, v1=float(v[m]), residual=residual)
+    return KernelDirection(v=v, perm=perm, v1=float(v[m]))
 
 
 @dataclass(frozen=True)

@@ -162,14 +162,11 @@ def cmd_error(args) -> int:
         args.d, s.depth, s.width, repr(s.max_abs_weight), args.dist, args.n,
         repr(est.mean_sq_error), repr(est.ci95[0]), repr(est.ci95[1]), args.seed,
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(row)
     # Read the file only now, under the lock, so that rows other runs
     # appended while this one sampled are kept.
     with _directory_lock(args.out):
         body = _error_csv_body(args.out, header)
-        atomic_write(args.out, (body or header) + buf.getvalue())
+        atomic_write(args.out, (body or header) + csv_text(row, []))
         write_manifest("error", vars(args), args.seed, [args.out])
     print(f"mse={est.mean_sq_error!r} ci=({est.ci95[0]!r}, {est.ci95[1]!r})")
     return 0

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import AffineLayer, FeedForwardNet, _csr, matrix_from_triplets
+from .network import AffineLayer, FeedForwardNet, matrix_entries, matrix_from_csr
 
 
 def beta(k: int) -> Fraction:
@@ -199,11 +199,13 @@ def _deep_triplets(d: int, alpha: float, k: int):
 
 def _net(d: int, specs, metadata: str) -> FeedForwardNet:
     """The net whose layers are the (shape, rows, cols, values) ``specs``,
-    each stored by the storage rule straight from its triplets; all biases
-    are zero and only the last layer is affine."""
-    layers = tuple(AffineLayer(matrix_from_triplets(*spec), np.zeros(spec[0][0]),
-                               apply_activation=i < len(specs) - 1)
-                   for i, spec in enumerate(specs))
+    each turned into its CSR arrays and stored by the storage rule; all
+    biases are zero and only the last layer is affine."""
+    layers = tuple(
+        AffineLayer(matrix_from_csr(shape, np.searchsorted(rows, np.arange(shape[0] + 1)),
+                                    cols, values),
+                    np.zeros(shape[0]), apply_activation=i < len(specs) - 1)
+        for i, (shape, rows, cols, values) in enumerate(specs))
     return FeedForwardNet(input_dim=d, layers=layers, metadata=metadata)
 
 
@@ -272,16 +274,6 @@ def exact_max_tree(d: int) -> FeedForwardNet:
     return _net(d, _tree_triplets(d), f"exact_max_tree d={d}")
 
 
-def _map_values(matrix, f):
-    """A layer's stored matrix with ``f`` applied to its stored values, so a
-    sparse layer is never built dense. numpy applies ``f`` to the values of
-    a CSR matrix; scipy's own ``csr / R`` multiplies by 1/R, which rounds
-    differently."""
-    if isinstance(matrix, np.ndarray):
-        return f(matrix)
-    return _csr(matrix.shape, matrix.indptr, matrix.indices, f(matrix.data))
-
-
 def rescale_to_box(net: FeedForwardNet, a: float, R: float) -> FeedForwardNet:
     """Conjugate a unit-box max approximator to the box [a, a+R]^d.
 
@@ -292,14 +284,20 @@ def rescale_to_box(net: FeedForwardNet, a: float, R: float) -> FeedForwardNet:
     """
     if R <= 0:
         raise ValueError("R must be positive")
+    # The stored values are mapped, so a sparse layer is never built dense;
+    # numpy divides them by R, where scipy's own csr / R multiplies by 1/R,
+    # which rounds differently. A value that underflows to +0.0 is dropped
+    # by AffineLayer.
     layers = list(net.layers)
     first = layers[0]
-    layers[0] = AffineLayer(_map_values(first.matrix, lambda w: w / R),
+    indptr, indices, values = matrix_entries(first.matrix)
+    layers[0] = AffineLayer(matrix_from_csr(first.matrix.shape, indptr, indices, values / R),
                             first.biases - (a / R) * first.matrix.sum(axis=1),
                             first.apply_activation)
     # for a one-layer net this is the layer just made, which takes both maps
     last = layers[-1]
-    layers[-1] = AffineLayer(_map_values(last.matrix, lambda w: R * w),
+    indptr, indices, values = matrix_entries(last.matrix)
+    layers[-1] = AffineLayer(matrix_from_csr(last.matrix.shape, indptr, indices, R * values),
                              R * last.biases + a, apply_activation=False)
     return FeedForwardNet(
         input_dim=net.input_dim,

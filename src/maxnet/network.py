@@ -74,47 +74,44 @@ def _csr(shape, indptr, indices, data):
     return m
 
 
-def matrix_from_triplets(shape: tuple[int, int], rows, cols, values):
-    """The matrix of ``shape`` with ``values`` at (``rows``, ``cols``) and
-    zeros elsewhere, stored as :class:`AffineLayer` stores it.
+def matrix_from_csr(shape: tuple[int, int], indptr, indices, values):
+    """The matrix of ``shape`` whose CSR arrays are ``indptr``, ``indices``
+    and ``values``, stored as :class:`AffineLayer` stores it.
 
-    The entries must come in row-major order, with no position twice and
-    no value whose bits are zero; that makes them the canonical CSR
-    entries, so no dense matrix is built for a layer stored sparse.
+    The indices of each row must strictly increase. A value whose bits
+    are zero is stored as given; :class:`AffineLayer`, which stores any
+    matrix by the rule again, drops it. A layer stored sparse keeps the
+    arrays themselves, so no dense matrix is built for it.
     """
     if _stored_sparse(shape, len(values)):
-        return _csr(shape, _indptr(shape[0], rows), np.asarray(cols, dtype=np.int64), values)
-    return _dense(shape, rows, cols, values)
+        return _csr(shape, indptr, indices, values)
+    return _dense(shape, indptr, indices, values)
 
 
-def _indptr(n_rows: int, rows) -> np.ndarray:
-    """The CSR row pointer of entries in the sorted ``rows``."""
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return indptr
-
-
-def _dense(shape, rows, cols, values) -> np.ndarray:
-    """A read-only dense matrix with ``values`` at (``rows``, ``cols``).
-    Entries are assigned, not added as scipy's ``toarray`` does, so a
-    stored -0.0 stays -0.0."""
+def _dense(shape, indptr, indices, values) -> np.ndarray:
+    """A read-only dense matrix of the CSR arrays. Entries are assigned,
+    not added as scipy's ``toarray`` does, so a stored -0.0 stays -0.0."""
     w = np.zeros(shape)
-    w[rows, cols] = values
+    w[np.repeat(np.arange(shape[0]), np.diff(indptr)), indices] = values
     w.setflags(write=False)
     return w
 
 
 def matrix_entries(matrix):
-    """The entries of a dense ndarray or a canonical CSR matrix whose bits
-    are nonzero, as the row-major (rows, cols, values) that
-    :func:`matrix_from_triplets` takes: -0.0 is an entry, +0.0 is not."""
+    """The canonical CSR arrays (indptr, indices, values) that
+    :func:`matrix_from_csr` takes, of a dense ndarray or a canonical CSR
+    matrix: the entries whose bits are nonzero, so -0.0 is an entry and
+    +0.0 is not. A CSR matrix that stores no +0.0 gives its own arrays."""
     if isinstance(matrix, np.ndarray):
         w = np.ascontiguousarray(matrix, dtype=np.float64)
         rows, cols = np.nonzero(w.view(np.uint64))
-        return rows, cols, w[rows, cols]
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    keep = matrix.data.view(np.uint64) != 0
-    return rows[keep], matrix.indices[keep], matrix.data[keep]
+        return np.searchsorted(rows, np.arange(w.shape[0] + 1)), cols, w[rows, cols]
+    bits = matrix.data.view(np.uint64)
+    if bits.all():  # reduced in buffers, with no mask of every entry
+        return matrix.indptr, matrix.indices, matrix.data
+    keep = bits != 0
+    kept = np.concatenate(([0], np.cumsum(keep)))  # entries kept before each one
+    return kept[matrix.indptr], matrix.indices[keep], matrix.data[keep]
 
 
 def _stored(weights):
@@ -128,9 +125,7 @@ def _stored(weights):
         if not m.has_canonical_format:
             m = m.copy()
             m.sum_duplicates()
-        if m.data.view(np.uint64).all() and _stored_sparse(m.shape, m.nnz):
-            return _csr(m.shape, m.indptr, m.indices, m.data)
-        return matrix_from_triplets(m.shape, *matrix_entries(m))
+        return matrix_from_csr(m.shape, *matrix_entries(m))
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     if w.ndim != 2:
         raise ValueError(f"weights must be a matrix, got ndim={w.ndim}")
@@ -138,7 +133,7 @@ def _stored(weights):
     if w.size >= SPARSE_MIN_WEIGHTS:
         bits = w.view(np.uint64)
         if _stored_sparse(w.shape, np.count_nonzero(bits)):
-            return matrix_from_triplets(w.shape, *matrix_entries(w))
+            return matrix_from_csr(w.shape, *matrix_entries(w))
     w.setflags(write=False)
     return w
 
@@ -463,9 +458,9 @@ def serialize(net: FeedForwardNet) -> str:
     parts = [head[:-1], ',"layers":[']
     for i, layer in enumerate(net.layers):
         m = layer.matrix
-        rows, cols, values = matrix_entries(m)
-        fields = {"shape": np.array(m.shape), "indptr": _indptr(m.shape[0], rows),
-                  "indices": cols, "values": values, "biases": layer.biases}
+        indptr, indices, values = matrix_entries(m)
+        fields = {"shape": np.array(m.shape), "indptr": indptr, "indices": indices,
+                  "values": values, "biases": layer.biases}
         parts.append(",{" if i else "{")
         for key, a in fields.items():
             parts += [f'"{key}":', *_json_numbers(a), ","]
@@ -507,9 +502,9 @@ def _int64(value: list, key: str, where: str, message: str) -> np.ndarray:
         raise ParseError(f"{key!r} {message}", f"{where}.{key}") from None
 
 
-def _csr_triplets(entry: dict, where: str):
-    """The shape, rows, columns and values of the CSR entry of a layer in
-    a ``maxnet-ffn/2`` document, as :func:`matrix_from_triplets` takes
+def _csr_fields(entry: dict, where: str):
+    """The shape, indptr, indices and values of the CSR entry of a layer
+    in a ``maxnet-ffn/2`` document, as :func:`matrix_from_csr` takes
     them, once the entry is checked to be canonical: indptr runs from 0 to
     the number of entries without decreasing, the indices of each row lie
     in range and strictly increase, and every value is finite with nonzero
@@ -550,7 +545,7 @@ def _csr_triplets(entry: dict, where: str):
     if not values.view(np.uint64).all():
         raise ParseError("'values' must not hold +0.0, which is never stored",
                          f"{where}.values")
-    return (n_rows, n_cols), np.repeat(np.arange(n_rows), np.diff(indptr)), indices, values
+    return (n_rows, n_cols), indptr, indices, values
 
 
 def deserialize(text: str) -> FeedForwardNet:
@@ -589,9 +584,9 @@ def deserialize(text: str) -> FeedForwardNet:
         if not isinstance(entry, dict):
             raise ParseError("layer entry must be an object", where)
         if tag == CSR_FORMAT_TAG and "weights" not in entry:
-            triplets, weights = _csr_triplets(entry, where), None
+            csr, weights = _csr_fields(entry, where), None
         else:
-            triplets, weights = None, _require_numbers(entry, "weights", where, rows=True)
+            csr, weights = None, _require_numbers(entry, "weights", where, rows=True)
         biases = _require_numbers(entry, "biases", where)
         apply_activation = _require(entry, "apply_activation", where)
         if not isinstance(apply_activation, bool):
@@ -601,7 +596,7 @@ def deserialize(text: str) -> FeedForwardNet:
             )
         try:
             layer = AffineLayer(
-                weights=matrix_from_triplets(*triplets) if triplets else weights,
+                weights=matrix_from_csr(*csr) if csr else weights,
                 biases=np.asarray(biases, dtype=np.float64),
                 apply_activation=apply_activation,
             )

@@ -513,6 +513,19 @@ class TestExactTree:
             assert np.all(err <= bound), d
 
 
+def subnormal_net() -> FeedForwardNet:
+    """A net whose sparse first layer holds +-5e-324, row 0 nothing else."""
+    rng = np.random.default_rng(6)
+    w = np.zeros((1024, 256))
+    w.flat[rng.choice(w.size, 200, replace=False)] = rng.standard_normal(200)
+    w[0] = 0.0
+    w[0, 3] = w[5, 9] = w[1023, 255] = 5e-324
+    w[7, 2] = -5e-324
+    return FeedForwardNet(256, (AffineLayer(w, np.zeros(1024)),
+                                AffineLayer(np.ones((1, 1024)), np.zeros(1),
+                                            apply_activation=False)))
+
+
 class TestRescale:
     def test_identity_rescale_is_weight_identical(self):
         net = depth3_max(3, 100.0)
@@ -561,10 +574,12 @@ class TestRescale:
         lambda: depth3_max(8, 1e3), lambda: depth3_max(64, 1e4),
         lambda: deep_max(256, 1e6, 2), lambda: deep_max(256, 1e6, 3),
         lambda: deep_max(1024, 1e6, 2), lambda: exact_max_tree(1), lambda: exact_max_tree(5),
+        lambda: subnormal_net(),
     ])
     def test_stored_values_match_a_dense_rescale(self, build):
         # sparse layers are scaled in their stored values; R = 7 is a scale
-        # whose reciprocal would round differently
+        # whose reciprocal would round differently, and R = 3 and 7 take
+        # 5e-324 to +0.0, which the rescaled layer must drop
         net = build()
         for a, R in [(0.0, 1.0), (-0.5, 3.0), (2.5, 7.0), (1e-3, 0.3)]:
             assert serialize(rescale_to_box(net, a, R)) == serialize(self.dense_rescale(net, a, R))

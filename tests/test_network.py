@@ -35,7 +35,7 @@ from maxnet import network
 from maxnet.network import (
     CSR_FORMAT_TAG, FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS,
 )
-from net_arrays import assert_same_arrays
+from net_arrays import assert_same_arrays, assert_same_matrix
 
 
 def child_env(**extra) -> dict[str, str]:
@@ -251,13 +251,15 @@ class TestStorage:
     def test_sparse_input_is_made_canonical(self):
         from scipy import sparse as sp
         w = scattered((1024, 256), 300, seed=1)
+        w[[0, -1]] = 0.0
         rows, cols = np.nonzero(w)
-        # shuffled, plus a duplicate of a nonzero and an explicit +0.0
-        zr, zc = np.argwhere(w == 0)[0]
+        # shuffled, plus a duplicate of a nonzero and an explicit +0.0, and
+        # one more +0.0 as the only entry of the first and of the last row
+        zr, zc = np.argwhere(w == 0)[300]
         order = np.random.default_rng(2).permutation(len(rows))
-        r = np.concatenate([rows[order], [rows[0], zr]])
-        c = np.concatenate([cols[order], [cols[0], zc]])
-        v = np.concatenate([w[rows, cols][order], [0.0, 0.0]])
+        r = np.concatenate([rows[order], [rows[0], zr, 0, 1023]])
+        c = np.concatenate([cols[order], [cols[0], zc, 5, 7]])
+        v = np.concatenate([w[rows, cols][order], [0.0, 0.0, 0.0, 0.0]])
         coo = sp.coo_array((v, (r, c)), shape=w.shape)
         layer = AffineLayer(coo, np.zeros(1024))
         ref = AffineLayer(w, np.zeros(1024))
@@ -758,6 +760,54 @@ MALFORMED_CSR = {
     "values-nan": ("values", _set("values", 0, float("nan"))),
     "values-beyond-float64": ("values", _set("values", 0, 10**400)),
 }
+
+
+@st.composite
+def layer_weights(draw, size: str, form: str):
+    """Weights of a layer that the storage rule keeps dense (``size``
+    "small", or "crowded": 1024 x 256 with more entries than the rule lets
+    a sparse layer hold) or sparse ("sparse"), given as a dense ndarray or
+    as a scipy CSR array (``form``). Entries are drawn from the nonzero
+    edge floats, -0.0 among them; the first and last rows may be empty, the
+    matrix may hold none, and a CSR input may add explicit +0.0 entries."""
+    shape = ((draw(st.integers(1, 6)), draw(st.integers(1, 6))) if size == "small"
+             else (1024, 256))
+    limit = int(SPARSE_MAX_DENSITY * shape[0] * shape[1])
+    first = 1 if draw(st.booleans()) else 0  # 1: the first and last rows are empty
+    places = max(0, shape[0] - 2 * first) * shape[1]
+    nnz = draw({"small": st.integers(0, places), "sparse": st.integers(0, limit),
+                "crowded": st.integers(limit + 1, 2 * limit)}[size])
+    zeros = draw(st.integers(0, 3)) if form == "csr" else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = first * shape[1] + rng.choice(places, min(places, nnz + zeros), replace=False)
+    values = rng.choice(NONZERO_EDGE_FLOATS, len(flat))
+    values[nnz:] = 0.0  # explicit +0.0 entries beyond the first nnz
+    if form == "csr":
+        from scipy import sparse as sp
+        return sp.csr_array((values, np.divmod(flat, shape[1])), shape=shape)
+    w = np.zeros(shape)
+    w.flat[flat] = values
+    return w
+
+
+class TestEntries:
+    """matrix_entries gives a stored matrix's canonical CSR arrays, and
+    matrix_from_csr stores them as the layer did."""
+
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    @pytest.mark.parametrize("size", ["small", "sparse", "crowded"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_entries_rebuild_the_stored_arrays(self, size, form, data):
+        weights = data.draw(layer_weights(size, form))
+        m = AffineLayer(weights, np.zeros(weights.shape[0])).matrix
+        assert isinstance(m, np.ndarray) == (size != "sparse")
+        assert_same_matrix(m, network.matrix_from_csr(m.shape, *network.matrix_entries(m)))
+
+    def test_entries_of_a_stored_csr_are_its_own_arrays(self):
+        m = deep_max(256, 1e6, 2).layers[0].matrix
+        indptr, indices, values = network.matrix_entries(m)
+        assert indptr is m.indptr and indices is m.indices and values is m.data
 
 
 class TestCsrFormat:
