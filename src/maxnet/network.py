@@ -9,6 +9,7 @@ across all layers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
@@ -177,6 +178,23 @@ class AffineLayer:
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "apply_activation", apply_activation)
 
+    @functools.cached_property
+    def _gains(self) -> tuple[float, float]:
+        """The largest row l1 norm of W and max |b|, so that
+        ``max |W x + b| <= norm * max |x| + max |b|``. Computed on first
+        use, so building or loading a net pays nothing for them."""
+        m = self.matrix
+        if isinstance(m, np.ndarray):
+            norm = float(np.abs(m).sum(axis=1).max(initial=0.0))
+        elif m.nnz:
+            # a row's l1 norm is the sum of its stored values; reduceat
+            # takes each nonempty row's start, and an empty row adds 0
+            starts = m.indptr[:-1][np.diff(m.indptr) > 0]
+            norm = float(np.add.reduceat(np.abs(m.data), starts).max())
+        else:
+            norm = 0.0
+        return norm, _peak(self.biases)
+
     @property
     def weights(self) -> np.ndarray:
         """W as a read-only dense array, built anew for a sparse layer."""
@@ -247,13 +265,35 @@ class NetStats:
     max_abs_weight: float
 
 
-def _all_finite(h: np.ndarray, nonnegative: bool = False) -> bool:
-    """True iff h holds no inf or NaN, found by reductions that allocate
-    nothing: NaN propagates through max and min, and a ReLU output has no
-    -inf, so its max alone decides."""
+def _peak(h: np.ndarray, nonnegative: bool = False) -> float:
+    """max |h| (0.0 for an empty h), found by reductions that allocate
+    nothing; inf or NaN iff h holds an inf or a NaN: NaN propagates through
+    max and min, and a ReLU output has no -inf, so its max alone decides."""
     if h.size == 0:
-        return True
-    return bool(np.isfinite(h.max()) and (nonnegative or np.isfinite(h.min())))
+        return 0.0
+    top = float(h.max())
+    return top if nonnegative else max(top, -float(h.min()))
+
+
+def _all_finite(h: np.ndarray, nonnegative: bool = False) -> bool:
+    """True iff h holds no inf or NaN."""
+    return bool(np.isfinite(_peak(h, nonnegative)))
+
+
+SCAN_LIMIT = np.finfo(np.float64).max / 16
+"""The largest bound on a layer's |values| at which :func:`evaluate_batch`
+skips the layer's finiteness scan. The bound starts at max |x| and at each
+layer becomes ``norm * bound + max |b|``, with ``norm`` the layer's largest
+row l1 norm (:attr:`AffineLayer._gains`). Rounding can put a computed
+value past the exact bound by a factor of at most (1 + gamma_k)(1 + u) per
+layer of k inputs, with u = 2^-53 and gamma_k = k u / (1 - k u), since
+``|fl(sum w_i x_i)| <= (1 + gamma_k) sum |w_i| |x_i|`` in any summation
+order, with or without fused multiply-adds (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 3); the bound's own rounding can
+put it as far below. Over all layers both stay within a factor of 1.001
+while the layers sum to fewer than 2^40 inputs, far inside the 16 of this
+limit, so below it no value can overflow. A bound past it, inf or NaN
+scans the layer as before."""
 
 
 TILE_BYTES = 2**20
@@ -322,16 +362,44 @@ def _add_bias(h: np.ndarray, b: np.ndarray) -> None:
     h += b
 
 
-def _forward(layers, h: np.ndarray, X: np.ndarray, first_row: int) -> np.ndarray:
+def _passes(net: FeedForwardNet, peak: float) -> list[tuple[bool, bool]]:
+    """For each layer of ``net``, on inputs with max |x| = ``peak``: whether
+    :func:`_forward` must add its bias, and whether it must scan its
+    output for inf and NaN.
+
+    A ReLU layer whose biases are all zero skips the add. That is exact:
+    ``x + 0.0`` and ``x + -0.0`` differ from x only where x is -0.0 and the
+    bias +0.0, which gives +0.0, and ``np.maximum(-0.0, 0.0)`` is +0.0
+    too. The affine output layer has no ReLU to clear a -0.0, so it always
+    adds. A layer skips its scan while the bound that :data:`SCAN_LIMIT`
+    describes stays at most that limit.
+    """
+    passes = []
+    bound = peak
+    for layer in net.layers:
+        norm, bias_peak = layer._gains
+        bound = norm * bound + bias_peak
+        passes.append((bias_peak != 0.0 or not layer.apply_activation,
+                       not bound <= SCAN_LIMIT))  # inf or NaN scans
+    return passes
+
+
+def _forward(layers, h: np.ndarray, X: np.ndarray, first_row: int,
+             passes=None) -> np.ndarray:
     """Run ``layers`` on the activations h of the rows of X that start at
-    ``first_row``; raise :class:`NumericOverflowError` with the input row
-    of the first non-finite value at the first layer that makes one."""
-    for layer in layers:
+    ``first_row``, adding each layer's bias and scanning its output where
+    ``passes`` (from :func:`_passes`; by default every layer does both)
+    says so; raise :class:`NumericOverflowError` with the input row of the
+    first non-finite value at the first scanned layer that holds one."""
+    if passes is None:
+        passes = itertools.repeat((True, True))
+    for layer, (add_bias, scan) in zip(layers, passes):
         h = h @ layer.matrix.T
-        _add_bias(h, layer.biases)
+        if add_bias:
+            _add_bias(h, layer.biases)
         if layer.apply_activation:
             np.maximum(h, 0.0, out=h)
-        if not _all_finite(h, nonnegative=layer.apply_activation):
+        if scan and not _all_finite(h, nonnegative=layer.apply_activation):
             bad = first_row + int(np.argwhere(~np.isfinite(h))[0, 0])
             raise NumericOverflowError(
                 "non-finite intermediate during evaluation", sample=X[bad].copy()
@@ -345,6 +413,14 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     Each layer's bias and ReLU are applied in place to its fresh product,
     so the caller's X is never written. A sparse layer multiplies through
     scipy, which returns an ndarray, so the loop is the same for both.
+
+    Two passes are skipped where they cannot change a bit (:func:`_passes`):
+    the bias add of a ReLU layer whose biases are all zero, and the scan
+    for inf and NaN of a layer whose values are bounded below
+    :data:`SCAN_LIMIT` by max |x| (kept from the input check) and the row
+    l1 norms and biases of the layers up to it. The output layer always
+    adds its bias, and a layer whose bound reaches the limit is scanned as
+    before.
 
     The hidden layers before the first single-output layer run over row
     tiles (:func:`_tiling`), so that a wide layer's product, bias, ReLU and
@@ -361,16 +437,20 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
     On overflow, ``NumericOverflowError.sample`` is the input row of the
     first non-finite value of the first tile that makes one, at the first
     layer where it appears in that tile; without tiles the whole batch is
-    that tile. The row really overflows, but an earlier row of the batch
-    may overflow at a later layer.
+    that tile. A layer whose scan is skipped holds no such value, so this
+    is the row that scanning every layer reports. The row really
+    overflows, but an earlier row of the batch may overflow at a later
+    layer.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ValueError(
             f"expected inputs of shape (n, {net.input_dim}), got {X.shape}"
         )
-    if not _all_finite(X):
+    peak = _peak(X)
+    if not np.isfinite(peak):
         raise ValueError("inputs must be finite")
+    passes = _passes(net, peak)
     n = X.shape[0]
     # a tile holds a positive multiple of TILE_ROW_MULTIPLE rows, so fewer
     # than two such multiples make a single tile whatever the net
@@ -382,11 +462,11 @@ def evaluate_batch(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
         # the last tile takes the remainder, so no tile is shorter than rows
         edges = [*range(0, n - rows + 1, rows), n]
         for start, end in zip(edges, edges[1:]):
-            tile = _forward(net.layers[:stop], X[start:end], X, start)
+            tile = _forward(net.layers[:stop], X[start:end], X, start, passes[:stop])
             if start == 0:
                 h = np.empty_like(tile, shape=(n, tile.shape[1]))
             h[start:end] = tile
-    return _forward(net.layers[stop:], h, X, 0)[:, 0]
+    return _forward(net.layers[stop:], h, X, 0, passes[stop:])[:, 0]
 
 
 def evaluate(net: FeedForwardNet, x: Sequence[float]) -> float:

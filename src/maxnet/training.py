@@ -90,9 +90,9 @@ def loss_and_grad(params: Params, X: np.ndarray, y: np.ndarray):
     upstream = delta @ W_out
     for layer in range(len(params) - 2, -1, -1):
         upstream = upstream * (acts[layer + 1] > 0.0)
-        W, _ = params[layer]
         grads[layer] = (upstream.T @ acts[layer], upstream.sum(axis=0))
-        upstream = upstream @ W
+        if layer:  # the first layer's inputs take no gradient
+            upstream = upstream @ params[layer][0]
     return loss, grads
 
 

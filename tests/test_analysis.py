@@ -412,6 +412,19 @@ class TestKernelDirection:
         with pytest.raises(ValueError):
             kernel_direction(np.ones((3, 3)))
 
+    def test_nearly_dependent_rows_keep_their_kernel(self):
+        # rows dependent only to 1e-7 relative are of full rank at RANK_TOL
+        # = 1e-10, so the direction must be the kernel of both rows: the
+        # normal of their plane. A rank tolerance near 1e-7 would drop the
+        # second row and return a vector only the first row annihilates.
+        r1 = np.array([1.0, 2.0, 3.0])
+        W = np.array([r1, r1 + 1e-7 * np.array([0.0, 1.0, -1.0])])
+        kd = kernel_direction(W)
+        normal = np.cross(W[0], W[1])
+        normal *= np.sign(normal[np.argmax(np.abs(normal))]) / np.linalg.norm(normal)
+        assert np.abs(W @ kd.v).max() <= 1e-15 * 3.0
+        np.testing.assert_allclose(kd.v, normal, atol=1e-8)
+
     def test_bad_elimination_is_arithmetic_error(self, monkeypatch):
         # a vector that W does not annihilate must not come out as the kernel
         monkeypatch.setattr(analysis, "_eliminate_null_vector",
@@ -512,6 +525,25 @@ class TestParallelotopeFloor:
 
     def test_floor_value(self):
         assert error_floor(3) == pytest.approx(5.94e-5, rel=2e-3)
+
+    def test_variation_along_the_kernel_is_refused(self):
+        # the rows differ by 1e-11 relative, below RANK_TOL, so the kernel
+        # direction is that of the first row alone and the second neuron
+        # moves along it; an output weight of about 1e6 makes the net vary
+        # by about 1e-6 there, which CONSTANCY_TOL = 1e-9 must refuse
+        r1 = np.array([1.0, 2.0, 3.0])
+        W = np.array([r1, r1 + 1e-11 * np.array([0.0, 1.0, -1.0])])
+        net = FeedForwardNet(
+            input_dim=3,
+            layers=(
+                AffineLayer(W, np.array([10.0, 10.0])),
+                AffineLayer(np.array([[-1e6, 1e6]]), np.array([0.0]), apply_activation=False),
+            ),
+        )
+        dev = kernel_constancy_deviation(net, build_parallelotope(kernel_direction(W)))
+        assert 1e-7 < dev < 1e-5
+        with pytest.raises(ArithmeticError, match="varies by"):
+            parallelotope_floor(net, n=1000)
 
     def test_wide_first_layer_rejected(self):
         rng = np.random.default_rng(4)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxnet import (
     AffineLayer,
@@ -386,6 +386,169 @@ class TestBiasBlocks:
             if layer.apply_activation:
                 h = np.maximum(h, 0.0)
         assert evaluate_batch(net, X).tobytes() == h[:, 0].tobytes()
+
+
+def scanned_pass(net: FeedForwardNet, X: np.ndarray) -> np.ndarray:
+    """:func:`one_pass` that scans every layer for inf and NaN as it goes:
+    every bias added and every layer scanned, the passes evaluate_batch
+    skips where they cannot change a bit."""
+    h = X
+    for layer in net.layers:
+        h = h @ layer.matrix.T
+        h += layer.biases
+        if layer.apply_activation:
+            np.maximum(h, 0.0, out=h)
+        bad = ~np.isfinite(h)
+        if bad.any():
+            raise NumericOverflowError("reference", sample=X[np.argwhere(bad)[0, 0]].copy())
+    return h[:, 0]
+
+
+SIGNS = [0.0, -0.0, 1.0, -1.0]
+"""Mantissas that make exact zeros of both signs and negative products."""
+
+
+@st.composite
+def scaled_cases(draw):
+    """A small dense or CSR net and a batch of fewer rows than one tile,
+    scaled by powers of two so that the bound of network.SCAN_LIMIT falls
+    on either side of it, or products underflow to -0.0."""
+    d = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.integers(1, 6), max_size=3))
+    dims = [d, *widths, 1]
+    # 2^total is about max|x| times the layers' gains: the limit is near
+    # 2^1020, and products underflow below 2^-1074
+    total = draw(st.one_of(st.integers(-1400, 1400), st.integers(990, 1100),
+                           st.integers(-2400, -1080)))
+    scale = total // len(dims)
+    mantissas = st.one_of(st.sampled_from(SIGNS), st.floats(-1.0, 1.0))
+
+    def array(shape, exponent):
+        m = draw(st.lists(mantissas, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        sign = draw(st.sampled_from([None, 1.0, -1.0]))  # one sign: sums of -0.0
+        m = np.reshape(m if sign is None else np.copysign(m, sign), shape)
+        return np.ldexp(m, exponent)
+
+    csr = draw(st.booleans())
+    layers = []
+    for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
+        kind = draw(st.sampled_from(["+0", "-0", "zeros", "any"]))
+        if kind == "any":
+            b = array(n_out, draw(st.integers(min(-1074, scale), scale)))
+        else:
+            b = np.full(n_out, {"+0": 0.0, "-0": -0.0}.get(kind, 0.0))
+            if kind == "zeros":
+                b[draw(st.lists(st.integers(0, n_out - 1)))] = -0.0
+        W = array((n_out, n_in), scale)
+        if csr:
+            from scipy import sparse
+
+            # every layer meets the storage rule while it is built
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(network, "SPARSE_MIN_WEIGHTS", 0)
+                mp.setattr(network, "SPARSE_MAX_DENSITY", 1.0)
+                layer = AffineLayer(sparse.csr_array(W), b, apply_activation=i < len(widths))
+        else:
+            layer = AffineLayer(W, b, apply_activation=i < len(widths))
+        layers.append(layer)
+    net = FeedForwardNet(input_dim=d, layers=tuple(layers))
+    X = array((draw(st.integers(1, 8)), d), total - scale * (len(dims) - 1))
+    return net, X
+
+
+def underflow_case(hidden: bool):
+    """A layer of products that underflow to -0.0, whose sums OpenBLAS
+    0.3.31's gemv leaves -0.0: an output layer of five inputs on two rows,
+    whose +0.0 bias makes the output +0.0, or a hidden layer of 33 inputs
+    on one row, whose ReLU makes it +0.0."""
+    k, n = (33, 1) if hidden else (5, 2)
+    first = AffineLayer(np.full((hidden + 1, k), -1e-200), np.zeros(hidden + 1),
+                        apply_activation=hidden)
+    out = (AffineLayer(np.ones((1, 2)), np.array([-0.0]), apply_activation=False),)
+    net = FeedForwardNet(input_dim=k, layers=(first, *out[:hidden]))
+    return net, np.full((n, k), 1e-200)
+
+
+class TestSkippedPasses:
+    """evaluate_batch skips the bias add of a ReLU layer with zero biases
+    and the finiteness scan of a layer whose values are bounded below
+    network.SCAN_LIMIT; neither may change a bit or an overflow report."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 33, 1000])
+    def test_relu_clears_negative_zero(self, n):
+        # what skipping a zero bias on a ReLU layer rests on, on the
+        # ufunc's scalar and SIMD loops, in place and strided
+        for h in (np.full(n, -0.0), np.full((n, 3), -0.0), np.full(2 * n, -0.0)[::2]):
+            assert not np.signbit(np.maximum(h, 0.0)).any()
+            np.maximum(h, 0.0, out=h)
+            assert not np.signbit(h).any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scaled_cases())
+    @example(case=underflow_case(hidden=False))
+    @example(case=underflow_case(hidden=True))
+    def test_matches_every_pass(self, case):
+        net, X = case
+        with np.errstate(all="ignore"):
+            try:
+                want = scanned_pass(net, X)
+            except NumericOverflowError as exc:
+                with pytest.raises(NumericOverflowError) as got:
+                    evaluate_batch(net, X)
+                assert got.value.sample.view(np.uint64).tolist() == \
+                    exc.sample.view(np.uint64).tolist()
+                return
+            got = evaluate_batch(net, X)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @staticmethod
+    def counted(monkeypatch) -> dict[str, int]:
+        """Count the calls of the input check, the scan and the bias add."""
+        counts = dict.fromkeys(["_peak", "_all_finite", "_add_bias"], 0)
+        for name in counts:
+            def wrapped(*args, _call=getattr(network, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(network, name, wrapped)
+        return counts
+
+    @pytest.mark.parametrize("make, n", [
+        (lambda: depth3_max(8, 1e3), 10**4),  # tiled
+        (lambda: deep_max(256, 1e6, 2), 2000),  # CSR layers
+    ])
+    def test_constructions_skip_both(self, monkeypatch, make, n):
+        net = make()
+        X = np.random.default_rng(21).random((n, net.input_dim))
+        want = evaluate_batch(net, X)  # computes the layers' gains
+        counts = self.counted(monkeypatch)
+        for calls in (1, 2):
+            got = evaluate_batch(net, X)
+            # the input check alone, and the output layer's bias alone
+            assert counts == {"_peak": calls, "_all_finite": 0, "_add_bias": calls}
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("x, scans", [
+        (1e300, 1),  # inf in the first layer
+        (5e7, 2),  # 5e307, past the limit but finite, then inf in the output
+    ])
+    def test_a_net_near_the_range_scans_every_layer(self, monkeypatch, x, scans):
+        net = FeedForwardNet(
+            input_dim=1,
+            layers=(
+                AffineLayer(np.array([[1e300]]), np.array([0.0])),
+                AffineLayer(np.array([[1e300]]), np.array([0.0]), apply_activation=False),
+            ),
+        )
+        counts = self.counted(monkeypatch)
+        with np.errstate(over="ignore"), pytest.raises(NumericOverflowError) as exc:
+            evaluate_batch(net, np.array([[1e-300], [x]]))
+        np.testing.assert_array_equal(exc.value.sample, [x])
+        assert counts["_all_finite"] == scans
+        # far from the limit, the same net scans nothing
+        counts["_all_finite"] = 0
+        assert evaluate_batch(net, np.array([[1e-300]]))[0] == pytest.approx(1e300)
+        assert counts["_all_finite"] == 0
 
 
 TILE_NETS = {
