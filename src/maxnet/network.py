@@ -10,7 +10,6 @@ across all layers.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -18,13 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-FORMAT_TAG = "maxnet-ffn/1"
-"""Tag of a network file whose layers all hold dense ``weights`` rows; it
-is read, no longer written."""
-CSR_FORMAT_TAG = "maxnet-ffn/2"
-"""Tag of a network file whose layers are written as CSR arrays
-(``shape``, ``indptr``, ``indices``, ``values``) or, in files written
-before every layer was, as dense ``weights`` rows."""
+FORMAT_TAG = "maxnet-ffn/2"
+"""Tag of a network file, whose layers are written as CSR arrays
+(``shape``, ``indptr``, ``indices``, ``values``)."""
 _SEPARATORS = (",", ":")
 """json's separators for a file without whitespace."""
 
@@ -385,14 +380,12 @@ def _passes(net: FeedForwardNet, peak: float) -> list[tuple[bool, bool]]:
 
 
 def _forward(layers, h: np.ndarray, X: np.ndarray, first_row: int,
-             passes=None) -> np.ndarray:
+             passes) -> np.ndarray:
     """Run ``layers`` on the activations h of the rows of X that start at
     ``first_row``, adding each layer's bias and scanning its output where
-    ``passes`` (from :func:`_passes`; by default every layer does both)
-    says so; raise :class:`NumericOverflowError` with the input row of the
-    first non-finite value at the first scanned layer that holds one."""
-    if passes is None:
-        passes = itertools.repeat((True, True))
+    ``passes`` (from :func:`_passes`) says so; raise
+    :class:`NumericOverflowError` with the input row of the first
+    non-finite value at the first scanned layer that holds one."""
     for layer, (add_bias, scan) in zip(layers, passes):
         h = h @ layer.matrix.T
         if add_bias:
@@ -528,7 +521,7 @@ def serialize(net: FeedForwardNet) -> str:
     """
     head = json.dumps(
         {
-            "format": CSR_FORMAT_TAG,
+            "format": FORMAT_TAG,
             "input_dim": net.input_dim,
             "activation": "relu",
             "metadata": net.metadata,
@@ -555,21 +548,16 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _require_numbers(entry: dict, key: str, where: str, rows: bool = False,
+def _require_numbers(entry: dict, key: str, where: str,
                      types=frozenset({float, int})):
     """The field ``key`` of a layer entry, if it is a list of JSON numbers
-    of ``types`` or, with ``rows``, a list of such lists. Element types are
-    compared exactly: ``true`` would pass ``isinstance(x, int)``, and numpy
-    would read it, or a string like ``"1e3"``, as a number."""
+    of ``types``. Element types are compared exactly: ``true`` would pass
+    ``isinstance(x, int)``, and numpy would read it, or a string like
+    ``"1e3"``, as a number."""
     value = _require(entry, key, where)
-    elements = value if type(value) is list else None
-    if rows and elements is not None:
-        nested = set(map(type, value)) <= {list}
-        elements = itertools.chain.from_iterable(value) if nested else None
-    if elements is None or not set(map(type, elements)) <= types:
+    if type(value) is not list or not set(map(type, value)) <= types:
         kind = "numbers" if float in types else "integers"
-        kind = f"a list of lists of {kind}" if rows else f"a list of {kind}"
-        raise ParseError(f"{key!r} must be {kind}", f"{where}.{key}")
+        raise ParseError(f"{key!r} must be a list of {kind}", f"{where}.{key}")
     return value
 
 
@@ -583,12 +571,12 @@ def _int64(value: list, key: str, where: str, message: str) -> np.ndarray:
 
 
 def _csr_fields(entry: dict, where: str):
-    """The shape, indptr, indices and values of the CSR entry of a layer
-    in a ``maxnet-ffn/2`` document, as :func:`matrix_from_csr` takes
-    them, once the entry is checked to be canonical: indptr runs from 0 to
-    the number of entries without decreasing, the indices of each row lie
-    in range and strictly increase, and every value is finite with nonzero
-    bits (-0.0 is kept, +0.0 is never stored)."""
+    """The shape, indptr, indices and values of the CSR entry of a layer,
+    as :func:`matrix_from_csr` takes them, once the entry is checked to be
+    canonical: indptr runs from 0 to the number of entries without
+    decreasing, the indices of each row lie in range and strictly increase,
+    and every value is finite with nonzero bits (-0.0 is kept, +0.0 is
+    never stored)."""
     shape = _require(entry, "shape", where)
     if not (type(shape) is list and len(shape) == 2
             and all(type(s) is int and s >= 0 for s in shape)):
@@ -629,9 +617,9 @@ def _csr_fields(entry: dict, where: str):
 
 
 def deserialize(text: str) -> FeedForwardNet:
-    """Parse a network document: a ``maxnet-ffn/2`` one as
-    :func:`serialize` writes it, or a ``maxnet-ffn/1`` one, whose layers
-    hold dense ``weights`` rows; a ``/2`` layer may hold such rows too.
+    """Parse a ``maxnet-ffn/2`` document as :func:`serialize` writes it:
+    every layer holds the CSR arrays of its matrix. Any other document is
+    refused, files in the earlier layouts with dense ``weights`` rows too.
 
     Raises :class:`ParseError` with a location for malformed documents and
     ``ValueError`` for structurally valid documents that describe an
@@ -648,10 +636,8 @@ def deserialize(text: str) -> FeedForwardNet:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object", "root")
     tag = _require(doc, "format", "root")
-    if tag not in (FORMAT_TAG, CSR_FORMAT_TAG):
-        raise ParseError(
-            f"unknown format {tag!r}, expected {FORMAT_TAG!r} or {CSR_FORMAT_TAG!r}", "format"
-        )
+    if tag != FORMAT_TAG:
+        raise ParseError(f"unknown format {tag!r}, expected {FORMAT_TAG!r}", "format")
     input_dim = _require(doc, "input_dim", "root")
     if not isinstance(input_dim, int) or isinstance(input_dim, bool):
         raise ParseError(f"'input_dim' must be an integer, got {input_dim!r}", "input_dim")
@@ -663,10 +649,7 @@ def deserialize(text: str) -> FeedForwardNet:
         where = f"layers[{idx}]"
         if not isinstance(entry, dict):
             raise ParseError("layer entry must be an object", where)
-        if tag == CSR_FORMAT_TAG and "weights" not in entry:
-            csr, weights = _csr_fields(entry, where), None
-        else:
-            csr, weights = None, _require_numbers(entry, "weights", where, rows=True)
+        csr = _csr_fields(entry, where)
         biases = _require_numbers(entry, "biases", where)
         apply_activation = _require(entry, "apply_activation", where)
         if not isinstance(apply_activation, bool):
@@ -676,7 +659,7 @@ def deserialize(text: str) -> FeedForwardNet:
             )
         try:
             layer = AffineLayer(
-                weights=matrix_from_csr(*csr) if csr else weights,
+                weights=matrix_from_csr(*csr),
                 biases=np.asarray(biases, dtype=np.float64),
                 apply_activation=apply_activation,
             )

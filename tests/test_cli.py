@@ -16,7 +16,7 @@ from maxnet import (
     AffineLayer, FeedForwardNet, cli, deep_max, depth3_max, exact_max_tree, load, save, stats,
 )
 from maxnet.cli import main
-from net_arrays import assert_same_arrays
+from net_arrays import assert_same_arrays, reference_serialize
 
 
 def run(argv, capsys):
@@ -354,6 +354,28 @@ class TestError:
             capsys,
         )
         assert code == 2
+
+
+class TestEarlierLayouts:
+    """A file in a layout that construct no longer writes is refused like
+    any malformed one: exit 2, the error named, nothing written."""
+
+    @pytest.mark.parametrize("command", ["error", "analyze"])
+    @pytest.mark.parametrize("layout", ["format-1", "weights-entry"])
+    def test_file_is_refused_with_exit_2(self, tmp_path, capsys, layout, command):
+        if layout == "format-1":
+            d, text, named = 3, reference_serialize(depth3_max(3, 10.0)), "maxnet-ffn/1"
+        else:
+            net = deep_max(256, 1e6, 2)
+            d, text, named = 256, reference_serialize(net, weights_layer=1), "layers[1]"
+        net_file = tmp_path / "net.json"
+        net_file.write_text(text)
+        argv = {"error": ["error", "--d", str(d), "--n", "100", "--seed", "1"],
+                "analyze": ["analyze", "--analysis", "weight-graph"]}[command]
+        code, _, err = run([*argv, "--net", str(net_file), "--out", str(tmp_path / "out")],
+                           capsys)
+        assert code == 2 and named in err
+        assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
 
 
 class TestUsageErrors:

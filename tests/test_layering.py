@@ -1,6 +1,8 @@
 """The modules of maxnet use only each other's public names, so a decision
 such as how a layer's entries are stored stays behind the module that makes
-it. Tests and perfbench may reach private names; the package may not."""
+it. Tests and perfbench may reach private names; the package may not. Nor
+may a module keep an import it no longer reads, as a deletion can leave
+one behind."""
 
 import ast
 from pathlib import Path
@@ -44,6 +46,20 @@ def private_uses(source: str) -> list[str]:
     return found
 
 
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source`` binds by a module-level import and never
+    reads; ``from __future__`` imports bind no name that is read."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_uses_another_modules_private_names(path):
     assert private_uses(path.read_text(encoding="utf-8")) == []
@@ -59,3 +75,20 @@ def test_no_module_uses_another_modules_private_names(path):
 ])
 def test_checker_finds_private_uses(source, found):
     assert private_uses(source) == found
+
+
+IMPORTING = [p for p in MODULES if p.name != "__init__.py"]  # __init__ re-exports
+
+
+@pytest.mark.parametrize("path", IMPORTING, ids=[p.name for p in IMPORTING])
+def test_no_module_keeps_an_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import itertools\nimport json\nx = json.dumps([])\n", ["itertools"]),
+    ("from __future__ import annotations\nimport numpy as np\n"
+     "from scipy import sparse as sp\ndef f(x: np.ndarray):\n    return sp.eye(1)\n", []),
+])
+def test_checker_finds_unused_imports(source, found):
+    assert unused_imports(source) == found

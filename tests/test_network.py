@@ -32,10 +32,8 @@ from maxnet import (
     TrainConfig,
 )
 from maxnet import network
-from maxnet.network import (
-    CSR_FORMAT_TAG, FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS,
-)
-from net_arrays import assert_same_arrays, assert_same_matrix
+from maxnet.network import FORMAT_TAG, SPARSE_MAX_DENSITY, SPARSE_MIN_WEIGHTS
+from net_arrays import assert_same_arrays, assert_same_matrix, reference_serialize
 
 
 def child_env(**extra) -> dict[str, str]:
@@ -355,9 +353,9 @@ class TestBiasBlocks:
         for n in (rows - 1, rows + 1, 3 * rows + 5):
             X = rng.standard_normal((n, 3))
             layer = AffineLayer(W, b, apply_activation=False)
-            got = network._forward([layer], X, X, 0)
+            got = network._forward([layer], X, X, 0, [(True, True)])
             assert got.tobytes() == (X @ W.T + b).tobytes(), n
-            relu = network._forward([AffineLayer(W, b)], X, X, 0)
+            relu = network._forward([AffineLayer(W, b)], X, X, 0, [(True, True)])
             assert relu.tobytes() == np.maximum(X @ W.T + b, 0.0).tobytes(), n
 
     @pytest.mark.parametrize("w", [1, 2, 7, 33, 80])
@@ -371,7 +369,7 @@ class TestBiasBlocks:
         n = 3 * max(1, network.BIAS_BLOCK_VALUES // w) + 5
         X = rng.standard_normal((n, 40))
         want = X @ m.T + b
-        assert network._forward([layer], X, X, 0).tobytes() == want.tobytes()
+        assert network._forward([layer], X, X, 0, [(True, True)]).tobytes() == want.tobytes()
         for h in (np.ascontiguousarray(X @ m.T), np.asfortranarray(X @ m.T)):
             network._add_bias(h, b)
             assert h.tobytes() == want.tobytes()
@@ -662,34 +660,6 @@ class TestRowTiles:
         assert peak <= 16 * 2**20, peak / 2**20
 
 
-def reference_serialize(net: FeedForwardNet, csr: bool = False) -> str:
-    """A document in an earlier layout, which deserialize still reads, as
-    json's indent=1 encoder writes it. By default it is the maxnet-ffn/1
-    document, with every layer's ``weights`` rows. With ``csr`` a net with
-    a layer stored sparse becomes maxnet-ffn/2, where each such layer holds
-    the CSR arrays of its matrix and every other one its ``weights``."""
-    csr = csr and any(map(is_sparse, net.layers))
-    layers = []
-    for layer in net.layers:
-        m = layer.matrix
-        if csr and is_sparse(layer):
-            entry = {"shape": list(m.shape), "indptr": m.indptr.tolist(),
-                     "indices": m.indices.tolist(), "values": m.data.tolist()}
-        else:
-            entry = {"weights": layer.weights.tolist()}
-        entry["biases"] = layer.biases.tolist()
-        entry["apply_activation"] = layer.apply_activation
-        layers.append(entry)
-    doc = {
-        "format": CSR_FORMAT_TAG if csr else FORMAT_TAG,
-        "input_dim": net.input_dim,
-        "activation": "relu",
-        "metadata": net.metadata,
-        "layers": layers,
-    }
-    return json.dumps(doc, indent=1)
-
-
 def entries_doc(net: FeedForwardNet) -> dict:
     """The maxnet-ffn/2 document serialize writes: every layer, dense or
     sparse, holds the CSR arrays of the entries of its dense weights whose
@@ -707,7 +677,7 @@ def entries_doc(net: FeedForwardNet) -> dict:
             "apply_activation": layer.apply_activation,
         })
     return {
-        "format": CSR_FORMAT_TAG,
+        "format": FORMAT_TAG,
         "input_dim": net.input_dim,
         "activation": "relu",
         "metadata": net.metadata,
@@ -717,11 +687,10 @@ def entries_doc(net: FeedForwardNet) -> dict:
 
 def assert_serialize_matches_reference(net: FeedForwardNet) -> None:
     """serialize writes the entries document as compact JSON, and that
-    text and both earlier layouts all load to the net's arrays."""
+    text loads to the net's arrays."""
     text = serialize(net)
     assert text == json.dumps(entries_doc(net), separators=(",", ":"))
-    for saved in (text, reference_serialize(net), reference_serialize(net, csr=True)):
-        assert_same_arrays(net, deserialize(saved))
+    assert_same_arrays(net, deserialize(text))
 
 
 # floats whose repr is easy to get wrong: signed zero, the smallest
@@ -868,7 +837,7 @@ def sparse_doc() -> dict:
                 AffineLayer(np.ones((1, 1024)), np.zeros(1), apply_activation=False)),
     )
     doc = json.loads(serialize(net))
-    assert doc["format"] == CSR_FORMAT_TAG and "indptr" in doc["layers"][0]
+    assert doc["format"] == FORMAT_TAG and "indptr" in doc["layers"][0]
     return doc
 
 
@@ -992,7 +961,7 @@ class TestCsrFormat:
     def test_round_trip_is_bit_identical(self, name):
         net = SPARSE_CONSTRUCTIONS[name]()
         text = serialize(net)
-        assert json.loads(text[:text.index(",")] + "}")["format"] == CSR_FORMAT_TAG
+        assert json.loads(text[:text.index(",")] + "}")["format"] == FORMAT_TAG
         assert_same_arrays(net, deserialize(text))
 
     def test_bytes_per_stored_weight(self):
@@ -1001,17 +970,20 @@ class TestCsrFormat:
         stored = sum(network._values(layer.matrix).size for layer in net.layers)
         assert len(serialize(net)) <= 16 * stored
 
-    def test_format_1_file_of_a_sparse_net_still_loads(self):
+    def test_format_1_file_of_a_sparse_net_is_refused(self):
         net = deep_max(256, 1e6, 2)
-        assert_same_arrays(net, deserialize(reference_serialize(net)))
+        with pytest.raises(ParseError) as exc:
+            deserialize(reference_serialize(net))
+        assert exc.value.location == "format"
+        assert str(exc.value) == (
+            "unknown format 'maxnet-ffn/1', expected 'maxnet-ffn/2' (at format)")
 
-    def test_dense_entry_of_a_sparse_layer_loads_sparse(self):
+    def test_dense_entry_of_a_sparse_layer_is_refused(self):
         net = deep_max(256, 1e6, 2)
-        doc = json.loads(serialize(net))
-        doc["layers"][0] = {"weights": net.layers[0].weights.tolist(),
-                            **{k: v for k, v in doc["layers"][0].items()
-                               if k in ("biases", "apply_activation")}}
-        assert_same_arrays(net, deserialize(json.dumps(doc)))
+        with pytest.raises(ParseError) as exc:
+            deserialize(reference_serialize(net, weights_layer=0))
+        assert exc.value.location == "layers[0]"
+        assert str(exc.value) == "missing field 'shape' (at layers[0])"
 
     @pytest.mark.parametrize("case", MALFORMED_CSR)
     def test_malformed_field_is_located_parse_error(self, case):
@@ -1047,8 +1019,6 @@ class TestCsrFormat:
         assert_same_arrays(net, deserialize(serialize(net)))
 
     def test_memory_of_the_round_trip(self):
-        # as maxnet-ffn/1 the file took 587 MB and its round trip peaked at
-        # 3.7 GB of RSS
         net = deep_max(1024, 1e6, 2)
         tracemalloc.start()
         try:
@@ -1064,13 +1034,9 @@ class TestCsrFormat:
         assert_same_arrays(net, clone)
 
 
-def depth3_docs(field: str = "biases") -> list[dict]:
-    """The documents of depth3_max(2, 10.0) in the layouts whose layers hold
-    ``field``, among the two the reader takes: as serialize writes it, with
-    CSR entries, and as maxnet-ffn/1, with ``weights`` rows."""
-    net = depth3_max(2, 10.0)
-    docs = [json.loads(serialize(net)), json.loads(reference_serialize(net))]
-    return [doc for doc in docs if field in doc["layers"][0]]
+def depth3_doc() -> dict:
+    """The document of depth3_max(2, 10.0) as serialize writes it."""
+    return json.loads(serialize(depth3_max(2, 10.0)))
 
 
 class TestSerialization:
@@ -1100,46 +1066,42 @@ class TestSerialization:
 
     @pytest.mark.parametrize("tag", [None, "maxnet-ffn/3", "", 1])
     def test_missing_or_unknown_format_rejected(self, tag):
-        for doc in depth3_docs():
-            if tag is None:
-                del doc["format"]
-            else:
-                doc["format"] = tag
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location in ("root", "format")
+        doc = depth3_doc()
+        if tag is None:
+            del doc["format"]
+        else:
+            doc["format"] = tag
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location in ("root", "format")
 
     @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
     def test_non_integer_input_dim_rejected(self, value):
-        for doc in depth3_docs():
-            doc["input_dim"] = value
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location == "input_dim"
+        doc = depth3_doc()
+        doc["input_dim"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "input_dim"
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_non_bool_apply_activation_rejected(self, value):
-        for doc in depth3_docs():
-            doc["layers"][0]["apply_activation"] = value
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location == "layers[0].apply_activation"
+        doc = depth3_doc()
+        doc["layers"][0]["apply_activation"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "layers[0].apply_activation"
 
-    @pytest.mark.parametrize("field", ["weights", "biases", "apply_activation"])
+    @pytest.mark.parametrize("field", ["biases", "apply_activation"])
     def test_missing_layer_field_is_parse_error(self, field):
-        for doc in depth3_docs(field):
-            del doc["layers"][1][field]
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location == "layers[1]"
+        doc = depth3_doc()
+        del doc["layers"][1][field]
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "layers[1]"
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("weights", "1e3"),
-            ("weights", True),
-            ("weights", None),
-            ("weights", [0.5]),
             ("biases", True),
             ("biases", "0"),
             ("biases", [0.0]),
@@ -1149,61 +1111,54 @@ class TestSerialization:
         ids=lambda v: "10**400" if v == 10**400 else None,
     )
     def test_non_number_parameter_is_parse_error(self, field, value):
-        for doc in depth3_docs(field):
-            entry = doc["layers"][1]
-            if field == "weights":
-                entry["weights"][0][-1] = value
-            else:
-                entry[field][0] = value
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location == f"layers[1].{field}"
+        doc = depth3_doc()
+        doc["layers"][1][field][0] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == f"layers[1].{field}"
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("weights", 1.0), ("weights", [1.0, 2.0]), ("weights", {}), ("biases", 0.0)],
-    )
+    @pytest.mark.parametrize("field, value", [("biases", 0.0)])
     def test_parameter_of_wrong_nesting_is_parse_error(self, field, value):
-        for doc in depth3_docs(field):
-            doc["layers"][0][field] = value
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location == f"layers[0].{field}"
+        doc = depth3_doc()
+        doc["layers"][0][field] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == f"layers[0].{field}"
 
     def test_integer_parameters_are_accepted(self):
-        for doc in depth3_docs():
-            doc["layers"][0]["biases"] = [0] * len(doc["layers"][0]["biases"])
-            net = deserialize(json.dumps(doc))
-            assert net.layers[0].biases.dtype == np.float64
-            assert not net.layers[0].biases.any()
+        doc = depth3_doc()
+        doc["layers"][0]["biases"] = [0] * len(doc["layers"][0]["biases"])
+        net = deserialize(json.dumps(doc))
+        assert net.layers[0].biases.dtype == np.float64
+        assert not net.layers[0].biases.any()
 
     def test_oversized_integer_is_validation_error(self):
-        [doc] = depth3_docs("weights")
-        doc["layers"][0]["weights"][0][0] = 10**400
+        doc = depth3_doc()
+        doc["layers"][0]["biases"][0] = 10**400
         with pytest.raises(ValueError, match=r"layers\[0\]"):
             deserialize(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [5, None, True, ["x"]])
     def test_non_string_metadata_is_parse_error(self, value):
-        for doc in depth3_docs():
-            doc["metadata"] = value
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location == "metadata"
+        doc = depth3_doc()
+        doc["metadata"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "metadata"
 
     @pytest.mark.parametrize("value", [5, None, ["relu"], "softplus"])
     def test_non_string_activation_is_parse_error(self, value):
-        for doc in depth3_docs():
-            doc["activation"] = value
-            with pytest.raises(ParseError) as exc:
-                deserialize(json.dumps(doc))
-            assert exc.value.location == "activation"
+        doc = depth3_doc()
+        doc["activation"] = value
+        with pytest.raises(ParseError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.location == "activation"
 
     def test_mismatched_widths_is_validation_error(self):
-        for doc in depth3_docs():
-            doc["input_dim"] = 3
-            with pytest.raises(ValueError):
-                deserialize(json.dumps(doc))
+        doc = depth3_doc()
+        doc["input_dim"] = 3
+        with pytest.raises(ValueError):
+            deserialize(json.dumps(doc))
 
 
 class TestProperties:
