@@ -42,7 +42,6 @@ from .sampling import (
     wilson_interval,
 )
 from .spectral import (
-    SpectralPoint,
     dawson,
     direction_component,
     magnitude_bound,

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .network import AffineLayer, FeedForwardNet, evaluate_batch, matrix_entries
-from .sampling import DistributionSpec, ErrorEstimate, mc_l2_errors, row_max
+from .sampling import DistributionSpec, ErrorEstimate, mc_l2_errors
 
 FLOOR_COEFF = 120.0  # mse >= 1 / (FLOOR_COEFF * d^4.5)
 RANK_TOL = 1e-10  # kernel_direction's rank tolerance, relative to max|W|
@@ -175,16 +175,20 @@ def _eliminate_null_vector(W: np.ndarray, tol: float) -> np.ndarray:
     return v
 
 
-def kernel_direction(W: AffineLayer | np.ndarray) -> KernelDirection:
-    """Unit vector annihilated by a first layer with at most d-1 rows.
+def kernel_direction(W: np.ndarray) -> KernelDirection:
+    """Unit vector annihilated by a first-layer weight matrix with at most
+    d-1 rows.
 
     Rank decisions use the tolerance RANK_TOL * max|W|. The zero matrix
     canonicalizes to e_1. Raises ``ArithmeticError`` if the vector that
-    elimination finds leaves a residual |W v| above 1e-9 * max|W|.
+    elimination finds leaves a residual |W v| above 1e-9 * max|W|. Anything
+    but a matrix, such as an :class:`AffineLayer`, raises ``ValueError``: a
+    caller builds a layer's dense weights only once its width fits.
     """
-    W = W.weights if isinstance(W, AffineLayer) else np.asarray(W, dtype=np.float64)
+    W = np.asarray(W)
     if W.ndim != 2:
         raise ValueError("expected a weight matrix")
+    W = W.astype(np.float64, copy=False)
     k, d = W.shape
     if k > d - 1:
         raise ValueError(f"first layer must have at most d-1={d - 1} rows, got {k}")
@@ -318,7 +322,7 @@ def parallelotope_floors(
                 f"first hidden layer must have at most d-1={d - 1} neurons, "
                 f"got {first.out_width}"
             )
-        para = build_parallelotope(kernel_direction(first))
+        para = build_parallelotope(kernel_direction(first.weights))
         dev = kernel_constancy_deviation(net, para, seed=seed)
         if dev > CONSTANCY_TOL:
             raise ArithmeticError(
@@ -336,7 +340,7 @@ def parallelotope_floors(
             constancy_deviation=dev,
             floor_respected=est.mean_sq_error >= floor - 3.0 * est.std_error,
         )
-        for (para, dev), est in zip(checked, mc_l2_errors(nets, row_max, dist, n, seed))
+        for (para, dev), est in zip(checked, mc_l2_errors(nets, dist, n, seed))
     ]
 
 

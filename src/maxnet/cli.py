@@ -34,7 +34,7 @@ from .constructions import (
     exact_max_tree,
 )
 from .network import FeedForwardNet, ParseError, load, serialize, stats
-from .sampling import DistributionSpec, estimate_violation_prob, mc_l2_error, row_max
+from .sampling import DistributionSpec, estimate_violation_prob, mc_l2_error
 from .spectral import q1_transform_grid, transform_direction_floor
 from .training import width_sweep
 
@@ -156,7 +156,7 @@ def cmd_error(args) -> int:
     _error_csv_body(args.out, header)  # refuse a foreign file before sampling
     net = load(args.net)
     dist = _dist_from_args(args)
-    est = mc_l2_error(net, row_max, dist, args.n, seed=args.seed)
+    est = mc_l2_error(net, dist, args.n, seed=args.seed)
     s = stats(net)
     row = [
         args.d, s.depth, s.width, repr(s.max_abs_weight), args.dist, args.n,

@@ -260,19 +260,18 @@ class NetStats:
     max_abs_weight: float
 
 
-def _peak(h: np.ndarray, nonnegative: bool = False) -> float:
+def _peak(h: np.ndarray) -> float:
     """max |h| (0.0 for an empty h), found by reductions that allocate
-    nothing; inf or NaN iff h holds an inf or a NaN: NaN propagates through
-    max and min, and a ReLU output has no -inf, so its max alone decides."""
+    nothing; inf or NaN iff h holds an inf or a NaN, as NaN propagates
+    through max and min."""
     if h.size == 0:
         return 0.0
-    top = float(h.max())
-    return top if nonnegative else max(top, -float(h.min()))
+    return max(float(h.max()), -float(h.min()))
 
 
-def _all_finite(h: np.ndarray, nonnegative: bool = False) -> bool:
+def _all_finite(h: np.ndarray) -> bool:
     """True iff h holds no inf or NaN."""
-    return bool(np.isfinite(_peak(h, nonnegative)))
+    return bool(np.isfinite(_peak(h)))
 
 
 SCAN_LIMIT = np.finfo(np.float64).max / 16
@@ -392,7 +391,7 @@ def _forward(layers, h: np.ndarray, X: np.ndarray, first_row: int,
             _add_bias(h, layer.biases)
         if layer.apply_activation:
             np.maximum(h, 0.0, out=h)
-        if scan and not _all_finite(h, nonnegative=layer.apply_activation):
+        if scan and not _all_finite(h):
             bad = first_row + int(np.argwhere(~np.isfinite(h))[0, 0])
             raise NumericOverflowError(
                 "non-finite intermediate during evaluation", sample=X[bad].copy()

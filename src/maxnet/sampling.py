@@ -10,11 +10,11 @@ each result in the array it has just drawn or computed, skips the steps of
 ``row_max`` folds narrow rows column by column over cache-sized row tiles,
 so a shard costs little beyond its arithmetic even when the net is tiny.
 ``mc_l2_errors`` scores several nets on one stream, drawing each shard and
-its target once. The shard size fixes where the sample stream is cut, and
-with it the bits of every estimate. ``evaluate_batch`` splits a shard into
-cache-sized row tiles of its own when the net narrows after its widest
-layer, as the constructions do, so such a net's widest activation is never
-held for the whole shard.
+computing its row maxima once. The shard size fixes where the sample
+stream is cut, and with it the bits of every estimate. ``evaluate_batch``
+splits a shard into cache-sized row tiles of its own when the net narrows
+after its widest layer, as the constructions do, so such a net's widest
+activation is never held for the whole shard.
 
 The separation estimators never hold a whole shard either.
 ``DistributionSpec.tiles`` fills one caller-owned tile after another with
@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -385,22 +385,21 @@ SEPARATED_MAX_ROUNDS = 200  # rounds of sample_separated before it gives up
 
 def mc_l2_errors(
     nets: Sequence[FeedForwardNet],
-    target: Callable[[np.ndarray], np.ndarray],
     dist: DistributionSpec,
     n: int,
     seed: int = 0,
 ) -> list[ErrorEstimate]:
-    """Unbiased Monte Carlo estimates of E[(net(x) - target(x))^2], one per
+    """Unbiased Monte Carlo estimates of E[(net(x) - max_i x_i)^2], one per
     net, all on the same sample stream.
 
-    ``target`` maps an (n, d) batch to an (n,) vector. Each shard and its
-    target values are made once and scored by every net in turn, and each
-    net's sums are reduced in shard order, so every estimate is bit for bit
-    that of :func:`mc_l2_error` on the net alone. Deterministic given
-    (dist, n, seed), as ``seed`` is the one root of the sample stream; the
-    chunk size is a fixed function of the network shape so results do not
-    depend on memory pressure. Nets whose default chunks differ would cut
-    the stream at different places, so they raise ``ValueError``.
+    Each shard and its row maxima (:func:`row_max`) are computed once and
+    scored by every net in turn, and each net's sums are reduced in shard
+    order, so every estimate is bit for bit that of :func:`mc_l2_error` on
+    the net alone. Deterministic given (dist, n, seed), as ``seed`` is the
+    one root of the sample stream; the chunk size is a fixed function of
+    the network shape so results do not depend on memory pressure. Nets
+    whose default chunks differ would cut the stream at different places,
+    so they raise ``ValueError``.
     """
     nets = list(nets)
     if not nets:
@@ -423,7 +422,7 @@ def mc_l2_errors(
         for k, net in enumerate(nets):
             sq = evaluate_batch(net, X)  # a fresh array: the error, then its powers
             if y is None:  # once evaluate_batch has freed its buffers
-                y = target(X)
+                y = row_max(X)
             sq -= y
             sq *= sq
             s1[k] += float(sq.sum())
@@ -447,21 +446,21 @@ def _error_estimate(s1: float, s2: float, n: int) -> ErrorEstimate:
 
 def mc_l2_error(
     net: FeedForwardNet,
-    target: Callable[[np.ndarray], np.ndarray],
     dist: DistributionSpec,
     n: int,
     seed: int = 0,
 ) -> ErrorEstimate:
-    """Unbiased Monte Carlo estimate of E[(net(x) - target(x))^2]: the
+    """Unbiased Monte Carlo estimate of E[(net(x) - max_i x_i)^2]: the
     one-net case of :func:`mc_l2_errors`."""
-    return mc_l2_errors([net], target, dist, n, seed=seed)[0]
+    return mc_l2_errors([net], dist, n, seed=seed)[0]
 
 
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = successes / n
+    z = Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * ((p * (1 - p) / n + z * z / (4 * n * n)) ** 0.5) / denom

@@ -11,7 +11,6 @@ large frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +35,6 @@ def dawson(x) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Closed-form transform value at frequency xi, with its axis factors."""
-
-    xi: np.ndarray
-    value: complex
-    factor_first: complex
-    factors_rest: tuple[complex, ...]
-
-
 def _first_factor(xi1: np.ndarray) -> np.ndarray:
     # int_0^inf t exp(-t^2/4) exp(-i xi t) dt
     return (
@@ -60,8 +49,9 @@ def _rest_factor(xij: np.ndarray) -> np.ndarray:
     return SQRT_PI * np.exp(-(xij**2)) + 2j * dawson(xij)
 
 
-def q1_transform(xi) -> SpectralPoint:
-    """Closed-form Fourier transform of q1(x) exp(-||x||^2/4) at xi.
+def q1_transform(xi) -> complex:
+    """Closed-form Fourier transform of q1(x) exp(-||x||^2/4) at xi, as a
+    complex: one row of :func:`q1_transform_grid`.
 
     q1 is x1 restricted to the orthant {x1 >= 0, x_j <= 0 for j >= 2}. The
     value factors across axes:
@@ -72,12 +62,7 @@ def q1_transform(xi) -> SpectralPoint:
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if xi.ndim != 1 or xi.size < 1:
         raise ValueError("xi must be a vector of length >= 1")
-    first = complex(_first_factor(xi[:1])[0])
-    rest = tuple(complex(v) for v in _rest_factor(xi[1:]))
-    value = first
-    for f in rest:
-        value *= f
-    return SpectralPoint(xi=xi, value=value, factor_first=first, factors_rest=rest)
+    return complex(q1_transform_grid(xi[None, :])[0])
 
 
 def q1_transform_grid(Xi: np.ndarray) -> np.ndarray:

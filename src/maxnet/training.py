@@ -55,7 +55,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainResult:
     net: FeedForwardNet
-    history: tuple[tuple[int, float], ...]
+    history: tuple[float, ...]  # the minibatch loss of each step, in order
 
 
 def init_params(cfg: TrainConfig, rng: np.random.Generator) -> Params:
@@ -118,7 +118,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         loss, grads = loss_and_grad(params, X, row_max(X))
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
-        history.append((step, loss))
+        history.append(loss)
         params = [
             (W - cfg.lr * gW, b - cfg.lr * gb)
             for (W, b), (gW, gb) in zip(params, grads)
@@ -180,10 +180,8 @@ def width_sweep(
                               float("nan"), float("nan"), status=str(exc))
                 )
                 continue
-            tail = [loss for _, loss in result.history[-100:]]
-            est: ErrorEstimate = mc_l2_error(
-                result.net, row_max, dist, heldout_n, seed=heldout_seed
-            )
+            tail = result.history[-100:]
+            est: ErrorEstimate = mc_l2_error(result.net, dist, heldout_n, seed=heldout_seed)
             cells.append(
                 SweepCell(
                     depth=depth,

@@ -41,7 +41,6 @@ from maxnet import (
     q1_transform,
     q1_transform_grid,
     rescale_to_box,
-    row_max,
     sample_separated,
     stats,
     train,
@@ -80,7 +79,7 @@ def crit1_pipeline():
         alpha = alpha_for_accuracy(d, 1.0, eps)
         net = depth3_max(d, alpha)
         dist = DistributionSpec.uniform_box(d)
-        est = mc_l2_error(net, row_max, dist, 10**6, seed=SEED + d)
+        est = mc_l2_error(net, dist, 10**6, seed=SEED + d)
         rows.append([d, repr(alpha), 10**6, repr(est.mean_sq_error),
                      repr(est.std_error), repr(est.ci95[0]), repr(est.ci95[1]),
                      SEED + d])
@@ -172,7 +171,7 @@ def crit4_pipeline():
     d, alpha, n = 4, 1e3, 10**6
     base = depth3_max(d, alpha)
     base_dist = DistributionSpec.uniform_box(d)
-    e0 = mc_l2_error(base, row_max, base_dist, n, seed=SEED + 400)
+    e0 = mc_l2_error(base, base_dist, n, seed=SEED + 400)
     rows = [[0, repr(1.0), repr(0.0), n, repr(e0.mean_sq_error),
              repr(e0.ci95[0]), repr(e0.ci95[1]), SEED + 400]]
     checks = []
@@ -180,7 +179,7 @@ def crit4_pipeline():
         seed = SEED + 401 + i
         net = rescale_to_box(base, a, R)
         dist = DistributionSpec.uniform_box(d, a=a, R=R)
-        est = mc_l2_error(net, row_max, dist, n, seed=seed)
+        est = mc_l2_error(net, dist, n, seed=seed)
         rows.append([i + 1, repr(R), repr(a), n, repr(est.mean_sq_error),
                      repr(est.ci95[0]), repr(est.ci95[1]), seed])
         checks.append((R, a, est))
@@ -256,7 +255,7 @@ def test_criterion_06_spectral_formulas():
     for d in (1, 2, 3):
         for _ in range(100):
             xi = rng.uniform(-10, 10, d)
-            got = q1_transform(xi).value
+            got = q1_transform(xi)
             want = quadrature_transform_oracle(xi).value
             worst_quad = max(worst_quad, abs(got - want) / abs(want))
     assert worst_quad <= 1e-6
@@ -356,7 +355,7 @@ def _best_trained_narrow(d: int, seed: int) -> FeedForwardNet:
         cfg = TrainConfig(d=d, arch=(d - 1,), dist=dist, lr=0.05, batch=64,
                           steps=3000, seed=s)
         result = train(cfg)
-        tail = float(np.mean([l for _, l in result.history[-100:]]))
+        tail = float(np.mean(result.history[-100:]))
         if tail < best_loss:
             best_net, best_loss = result.net, tail
     return best_net
@@ -412,7 +411,7 @@ def crit9_pipeline():
     best = best_cells(cells)
     alpha = alpha_for_accuracy(d, 1.0, 1e-5)
     constructed = depth3_max(d, alpha)
-    est_c = mc_l2_error(constructed, row_max, dist, 10**6, seed=SEED + 902)
+    est_c = mc_l2_error(constructed, dist, 10**6, seed=SEED + 902)
     rows = [
         [c.depth, c.width, c.d, c.seed, repr(c.final_train_mse), repr(c.test_mse),
          repr(c.ci_low), repr(c.ci_high), c.status]

@@ -412,6 +412,14 @@ class TestKernelDirection:
         with pytest.raises(ValueError):
             kernel_direction(np.ones((3, 3)))
 
+    def test_layer_rejected(self):
+        # the weights only: a layer's dense view is built by the caller,
+        # after its width check, never here
+        layer = AffineLayer(np.array([[1.0, -1.0, 0.0]]), [0.0])
+        with pytest.raises(ValueError, match="weight matrix"):
+            kernel_direction(layer)
+        assert kernel_direction(layer.weights).v1 == pytest.approx(2**-0.5)
+
     def test_nearly_dependent_rows_keep_their_kernel(self):
         # rows dependent only to 1e-7 relative are of full rank at RANK_TOL
         # = 1e-10, so the direction must be the kernel of both rows: the

@@ -475,13 +475,13 @@ class TestWilson:
 class TestMcL2Error:
     def test_exact_tree_error_is_zero(self):
         dist = DistributionSpec.uniform_box(8)
-        est = mc_l2_error(exact_max_tree(8), row_max, dist, 100_000, seed=3)
+        est = mc_l2_error(exact_max_tree(8), dist, 100_000, seed=3)
         assert est.mean_sq_error <= 1e-20
 
     def test_constant_predictor_matches_integral_oracle(self):
         d, c = 4, 1 - 1 / 4
         dist = DistributionSpec.uniform_box(d)
-        est = mc_l2_error(constant_net(d, c), row_max, dist, 400_000, seed=17)
+        est = mc_l2_error(constant_net(d, c), dist, 400_000, seed=17)
         truth = best_constant_error(c, d)
         assert truth == pytest.approx(0.0291666666, rel=1e-6)
         assert abs(est.mean_sq_error - truth) <= 4 * est.std_error
@@ -492,21 +492,21 @@ class TestMcL2Error:
         d, eps = 4, 1e-4
         net = depth3_max(d, alpha_for_accuracy(d, 1.0, eps))
         dist = DistributionSpec.uniform_box(d)
-        est = mc_l2_error(net, row_max, dist, 200_000, seed=23)
+        est = mc_l2_error(net, dist, 200_000, seed=23)
         assert est.mean_sq_error <= eps + 3 * est.std_error
 
     def test_deterministic_and_seed_sensitive(self):
         dist = DistributionSpec.uniform_box(3)
         net = depth3_max(3, 100.0)
-        a = mc_l2_error(net, row_max, dist, 50_000, seed=1)
-        b = mc_l2_error(net, row_max, dist, 50_000, seed=1)
-        c = mc_l2_error(net, row_max, dist, 50_000, seed=2)
+        a = mc_l2_error(net, dist, 50_000, seed=1)
+        b = mc_l2_error(net, dist, 50_000, seed=1)
+        c = mc_l2_error(net, dist, 50_000, seed=2)
         assert a == b
         assert a.mean_sq_error != c.mean_sq_error
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mc_l2_error(exact_max_tree(3), row_max, DistributionSpec.uniform_box(2), 100)
+            mc_l2_error(exact_max_tree(3), DistributionSpec.uniform_box(2), 100)
 
     def test_narrow_net_shard_memory(self):
         # d = 10, hidden widths 9 and 19, one 131072-row shard: the peak is
@@ -521,13 +521,14 @@ class TestMcL2Error:
         ]
         net = FeedForwardNet(input_dim=10, layers=tuple(layers))
         dist = DistributionSpec.uniform_box(10)
-        est, peak = traced_peak(mc_l2_error, net, row_max, dist, 131072, 6)
+        est, peak = traced_peak(mc_l2_error, net, dist, 131072, 6)
         assert est.n_samples == 131072
         assert peak < 42 * MiB
 
-    def test_many_nets_match_one_net_calls(self):
+    def test_many_nets_match_one_net_calls(self, monkeypatch):
         # one stream, several nets: each estimate is that of its own call,
-        # with full shards and a remainder shard, and the target drawn once
+        # with full shards and a remainder shard, and each shard's row
+        # maxima computed once
         rng = np.random.default_rng(7)
         d = 5
         nets = [depth3_max(d, 50.0), constant_net(d, 0.6), exact_max_tree(d)]
@@ -541,17 +542,18 @@ class TestMcL2Error:
         dist = DistributionSpec.uniform_box(d, a=-0.5, R=2.0)
         calls = []
 
-        def target(X):
+        def counted(X):
             calls.append(len(X))
             return row_max(X)
 
+        monkeypatch.setattr("maxnet.sampling.row_max", counted)
         # every net's default chunk is 131072 rows: one full shard and a remainder
-        got = mc_l2_errors(nets, target, dist, 140_001, seed=9)
+        got = mc_l2_errors(nets, dist, 140_001, seed=9)
         assert calls == [131072, 8929]
-        want = [mc_l2_error(net, row_max, dist, 140_001, seed=9) for net in nets]
+        want = [mc_l2_error(net, dist, 140_001, seed=9) for net in nets]
         assert got == want
-        got = mc_l2_errors(nets[1:], row_max, dist, 5000, seed=3)
-        assert got == [mc_l2_error(net, row_max, dist, 5000, seed=3) for net in nets[1:]]
+        got = mc_l2_errors(nets[1:], dist, 5000, seed=3)
+        assert got == [mc_l2_error(net, dist, 5000, seed=3) for net in nets[1:]]
 
     def test_mismatched_default_chunks_raise(self):
         # widths 10 and 100 give default chunks of 131072 and 83886 rows
@@ -565,15 +567,15 @@ class TestMcL2Error:
             for w in (10, 100)
         ]
         with pytest.raises(ValueError, match="chunk"):
-            mc_l2_errors(nets, row_max, dist, 1000, seed=1)
+            mc_l2_errors(nets, dist, 1000, seed=1)
         with pytest.raises(ValueError):
-            mc_l2_errors([], row_max, dist, 1000, seed=1)
+            mc_l2_errors([], dist, 1000, seed=1)
         with pytest.raises(ValueError):
-            mc_l2_errors([nets[0], exact_max_tree(4)], row_max, dist, 1000, seed=1)
+            mc_l2_errors([nets[0], exact_max_tree(4)], dist, 1000, seed=1)
 
     def test_ci_invariant(self):
         dist = DistributionSpec.uniform_box(2)
-        est = mc_l2_error(constant_net(2, 0.5), row_max, dist, 10_000, seed=4)
+        est = mc_l2_error(constant_net(2, 0.5), dist, 10_000, seed=4)
         assert est.ci95[0] <= est.mean_sq_error <= est.ci95[1]
 
 
@@ -585,7 +587,7 @@ class TestCiCalibration:
         hits = 0
         for seed in range(200):
             dist = DistributionSpec.uniform_box(4)
-            est = mc_l2_error(net, row_max, dist, 2000, seed=seed)
+            est = mc_l2_error(net, dist, 2000, seed=seed)
             if est.ci95[0] <= 0.0 <= est.ci95[1]:
                 hits += 1
         assert hits >= 180
@@ -597,7 +599,7 @@ class TestCiCalibration:
         hits = 0
         for seed in range(200):
             dist = DistributionSpec.uniform_box(d)
-            est = mc_l2_error(net, row_max, dist, 2000, seed=1000 + seed)
+            est = mc_l2_error(net, dist, 2000, seed=1000 + seed)
             if est.ci95[0] <= truth <= est.ci95[1]:
                 hits += 1
         assert hits >= 180
@@ -608,7 +610,7 @@ class TestErrorMonotonicityInAlpha:
         d = 4
         dist = DistributionSpec.uniform_box(d)
         ests = [
-            mc_l2_error(depth3_max(d, alpha), row_max, dist, 200_000, seed=31)
+            mc_l2_error(depth3_max(d, alpha), dist, 200_000, seed=31)
             for alpha in (1e2, 1e3, 1e4, 1e5)
         ]
         for lo, hi in zip(ests[1:], ests[:-1]):
@@ -675,7 +677,7 @@ class TestShardContract:
     def test_negative_seed_raises(self):
         dist = DistributionSpec.uniform_box(3)
         with pytest.raises(ValueError, match="seed"):
-            mc_l2_error(depth3_max(3, 100.0), row_max, dist, 1000, seed=-3)
+            mc_l2_error(depth3_max(3, 100.0), dist, 1000, seed=-3)
         with pytest.raises(ValueError, match="seed"):
             estimate_violation_prob(dist, 0.1, 1000, seed=-3)
         with pytest.raises(ValueError, match="seed"):
@@ -696,7 +698,7 @@ class TestShardContract:
                 sq = err * err
                 s1 += float(sq.sum())
                 s2 += float((sq * sq).sum())
-            est = mc_l2_error(net, row_max, dist, n, seed=self.ROOT)
+            est = mc_l2_error(net, dist, n, seed=self.ROOT)
             mean = s1 / n
             assert est.mean_sq_error == mean
             assert est.std_error == (max(0.0, (s2 - n * mean * mean) / (n - 1)) / n) ** 0.5

@@ -10,7 +10,6 @@ from maxnet import (
     TrainingDivergedError,
     best_cells,
     mc_l2_error,
-    row_max,
     train,
     width_sweep,
 )
@@ -78,14 +77,14 @@ class TestTrain:
         dist = DistributionSpec.uniform_box(1)
         cfg = TrainConfig(d=1, arch=(2,), dist=dist, lr=0.1, steps=2000, seed=0)
         result = train(cfg)
-        final = mc_l2_error(result.net, row_max, dist, 50_000, seed=99)
+        final = mc_l2_error(result.net, dist, 50_000, seed=99)
         assert final.mean_sq_error <= 1e-6
 
     def test_d2_pairwise_max_is_depth2_learnable(self):
         dist = DistributionSpec.uniform_box(2)
         cfg = TrainConfig(d=2, arch=(4,), dist=dist, lr=0.1, steps=6000, seed=1)
         result = train(cfg)
-        final = mc_l2_error(result.net, row_max, dist, 50_000, seed=99)
+        final = mc_l2_error(result.net, dist, 50_000, seed=99)
         assert final.mean_sq_error <= 1e-4
 
     def test_history_shape_and_finite_loss(self):
@@ -93,7 +92,7 @@ class TestTrain:
         for seed in range(10):
             cfg = TrainConfig(d=3, arch=(6,), dist=dist, steps=100, seed=seed)
             result = train(cfg)
-            losses = [loss for _, loss in result.history]
+            losses = result.history
             assert len(losses) == 100
             assert all(np.isfinite(l) and l >= 0 for l in losses)
 
